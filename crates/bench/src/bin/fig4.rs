@@ -6,26 +6,18 @@
 
 use bolted_bench::{banner, f, print_table};
 use bolted_core::{
-    foreman_provision, Cloud, CloudConfig, ProvisionReport, SecurityProfile, Tenant,
+    foreman_provision, Cloud, CloudConfig, ProvisionReport, SecurityProfile, Tenant, World,
 };
-use bolted_firmware::{FirmwareKind, KernelImage};
+use bolted_firmware::FirmwareKind;
 use bolted_sim::Sim;
 
 fn provision(firmware: FirmwareKind, profile: SecurityProfile) -> ProvisionReport {
-    let sim = Sim::new();
-    let cloud = Cloud::build(
-        &sim,
-        CloudConfig {
-            nodes: 1,
-            firmware,
-            ..CloudConfig::default()
-        },
-    );
-    let kernel = KernelImage::from_bytes("fedora28-4.17.9", b"vmlinuz+initrd");
-    let golden = cloud
-        .bmi
-        .create_golden("fedora28", 8 << 30, 7, &kernel, "")
-        .expect("golden");
+    let World { sim, cloud, golden } = World::build(CloudConfig {
+        nodes: 1,
+        firmware,
+        ..CloudConfig::default()
+    })
+    .expect("golden");
     let tenant = Tenant::new(&cloud, "tenant").expect("tenant");
     let node = cloud.nodes()[0];
     sim.block_on(async move { tenant.provision(node, &profile, golden).await })

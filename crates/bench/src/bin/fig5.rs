@@ -5,10 +5,10 @@
 //! airlock, which serialises attestation.
 
 use bolted_bench::{banner, f, print_table};
-use bolted_core::{Cloud, CloudConfig, SecurityProfile, Tenant};
+use bolted_core::{CloudConfig, SecurityProfile, Tenant, World};
 use bolted_crypto::CipherSuite;
-use bolted_firmware::{FirmwareKind, KernelImage};
-use bolted_sim::{join_all, Sim};
+use bolted_firmware::FirmwareKind;
+use bolted_sim::join_all;
 
 fn run(n: usize, attested: bool, airlocks: usize) -> (f64, f64) {
     let profile = if attested {
@@ -20,21 +20,13 @@ fn run(n: usize, attested: bool, airlocks: usize) -> (f64, f64) {
 }
 
 fn run_profile(n: usize, profile: SecurityProfile, airlocks: usize) -> (f64, f64) {
-    let sim = Sim::new();
-    let cloud = Cloud::build(
-        &sim,
-        CloudConfig {
-            nodes: n,
-            firmware: FirmwareKind::Uefi, // the paper's Figure 5 uses UEFI
-            airlocks,
-            ..CloudConfig::default()
-        },
-    );
-    let kernel = KernelImage::from_bytes("fedora28-4.17.9", b"vmlinuz+initrd");
-    let golden = cloud
-        .bmi
-        .create_golden("fedora28", 8 << 30, 7, &kernel, "")
-        .expect("golden");
+    let World { sim, cloud, golden } = World::build(CloudConfig {
+        nodes: n,
+        firmware: FirmwareKind::Uefi, // the paper's Figure 5 uses UEFI
+        airlocks,
+        ..CloudConfig::default()
+    })
+    .expect("golden");
     let tenant = Tenant::new(&cloud, "tenant").expect("tenant");
     let totals = sim.block_on({
         let (tenant, cloud) = (tenant.clone(), cloud.clone());

@@ -3,9 +3,9 @@
 //! layer must be able to reproduce Figure 4's boot-time decomposition
 //! by itself, or it is not measuring what the paper measures.
 
-use bolted_core::{Cloud, CloudConfig, SecurityProfile, Tenant};
-use bolted_firmware::{FirmwareKind, KernelImage};
-use bolted_sim::{Sim, Spans};
+use bolted_core::{CloudConfig, SecurityProfile, Tenant, World};
+use bolted_firmware::FirmwareKind;
+use bolted_sim::Spans;
 
 /// The six instrumented phases of an attested provision, in pipeline
 /// order. `quote-verify` is recorded by the verifier, everything else
@@ -55,20 +55,12 @@ pub fn extract_phases(spans: &Spans, node: &str) -> Vec<(String, f64)> {
 /// fresh cloud and decomposes it from the spans. Deterministic: same
 /// output every run.
 pub fn charlie_phase_breakdown() -> PhaseBreakdown {
-    let sim = Sim::new();
-    let cloud = Cloud::build(
-        &sim,
-        CloudConfig {
-            nodes: 1,
-            firmware: FirmwareKind::LinuxBoot,
-            ..CloudConfig::default()
-        },
-    );
-    let kernel = KernelImage::from_bytes("fedora28-4.17.9", b"vmlinuz+initrd");
-    let golden = cloud
-        .bmi
-        .create_golden("fedora28", 8 << 30, 7, &kernel, "")
-        .expect("golden");
+    let World { sim, cloud, golden } = World::build(CloudConfig {
+        nodes: 1,
+        firmware: FirmwareKind::LinuxBoot,
+        ..CloudConfig::default()
+    })
+    .expect("golden");
     let tenant = Tenant::new(&cloud, "charlie").expect("tenant");
     let node = cloud.nodes()[0];
     let profile = SecurityProfile::charlie();

@@ -1,15 +1,15 @@
 //! Builds a complete simulated datacenter: machines with TPMs and
 //! firmware, switches, HIL, the Ceph cluster, the iSCSI gateway, and BMI.
 
-use bolted_bmi::Bmi;
+use bolted_bmi::{Bmi, BmiError};
 use bolted_crypto::sha256::{sha256, Digest};
-use bolted_firmware::{FirmwareImage, FirmwareKind, FirmwareSource, Machine};
+use bolted_firmware::{FirmwareImage, FirmwareKind, FirmwareSource, KernelImage, Machine};
 use bolted_hil::{BmcError, BmcOps, Hil, NodeId};
 use bolted_net::{Fabric, LinkModel, SwitchId};
 use bolted_sim::fault::{ops, FaultPlan, Faults};
 use bolted_sim::lock;
-use bolted_sim::{Metrics, OpGate, Resource, Sim, Spans, Tracer};
-use bolted_storage::{Cluster, Gateway, ImageStore};
+use bolted_sim::{Metrics, OpGate, Resource, Sim, Spans};
+use bolted_storage::{Cluster, Gateway, ImageId, ImageStore};
 use std::sync::{Arc, Mutex};
 
 use crate::calib::Calibration;
@@ -144,8 +144,6 @@ pub struct Cloud {
     /// The provider's single HTTP server for boot artifacts (iPXE,
     /// Heads, agent, kernels) — a shared, serialising resource.
     pub http: Resource,
-    /// Event trace.
-    pub tracer: Tracer,
     /// Structured span recorder (phase timings, key-material events).
     pub spans: Spans,
     /// Metrics registry (retry/fault counters, op counts, phase histograms).
@@ -167,7 +165,6 @@ impl Cloud {
         let store = ImageStore::new(&cluster);
         let gateway = Gateway::new(sim);
         let bmi = Bmi::new(sim, &store, &gateway);
-        let tracer = Tracer::new();
         let spans = Spans::new();
         let metrics = Metrics::new();
         let faults = Faults::new(config.faults.clone());
@@ -236,7 +233,6 @@ impl Cloud {
             bmi,
             airlock: Resource::new(sim, config.airlocks.max(1)),
             http: Resource::new(sim, 1),
-            tracer,
             spans,
             metrics,
             faults,
@@ -276,6 +272,51 @@ impl Cloud {
     /// Nodes currently in the rejected pool.
     pub fn rejected_pool(&self) -> Vec<NodeId> {
         lock(&self.rejected).clone()
+    }
+
+    /// Ordered pairs of nodes, one from `a` and one from `b`, whose hosts
+    /// can reach each other on some VLAN — the cross-tenant leak count
+    /// every two-tenant isolation invariant pins to zero.
+    pub fn cross_tenant_paths(&self, a: &[NodeId], b: &[NodeId]) -> u64 {
+        let mut leaks = 0u64;
+        for &na in a {
+            for &nb in b {
+                let (Ok(ha), Ok(hb)) = (self.hil.node_host(na), self.hil.node_host(nb)) else {
+                    continue;
+                };
+                if self.fabric.path(ha, hb).is_ok() {
+                    leaks += 1;
+                }
+            }
+        }
+        leaks
+    }
+}
+
+/// A fresh deterministic world: its own executor, a cloud over it and
+/// the golden image every tenant in it provisions from. Fleet shards,
+/// reconcile shards and scenario worlds are all built here, so the
+/// golden-image recipe lives in one place.
+pub struct World {
+    /// The world's executor; it never leaves the thread that built it.
+    pub sim: Sim,
+    /// The datacenter.
+    pub cloud: Cloud,
+    /// The registered fedora28 golden image.
+    pub golden: ImageId,
+}
+
+impl World {
+    /// Builds the cloud `config` describes on a new [`Sim`] and
+    /// registers the fedora28 golden image in its BMI.
+    pub fn build(config: CloudConfig) -> Result<World, BmiError> {
+        let sim = Sim::new();
+        let cloud = Cloud::build(&sim, config);
+        let kernel = KernelImage::from_bytes("fedora28-4.17.9", b"vmlinuz+initrd");
+        let golden = cloud
+            .bmi
+            .create_golden("fedora28", 8 << 30, 7, &kernel, "")?;
+        Ok(World { sim, cloud, golden })
     }
 }
 

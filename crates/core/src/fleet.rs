@@ -1,10 +1,10 @@
 //! Multi-core fleet provisioning: shard-per-job determinism.
 //!
 //! A datacenter-scale fleet run is split into a **fixed** number of
-//! shards, each an independent deterministic world — its own [`Sim`],
-//! [`Cloud`], golden image and [`Tenant`] — provisioned to completion by
-//! one [`bolted_sim::run_jobs`] pool job. Because a shard's sim is built
-//! and driven entirely inside its job, the per-[`Sim`] single-driver
+//! shards, each an independent deterministic [`World`] — its own sim,
+//! cloud and golden image — plus a [`Tenant`], provisioned to completion
+//! by one [`bolted_sim::run_jobs`] pool job. Because a shard's sim is
+//! built and driven entirely inside its job, the per-sim single-driver
 //! contract holds and every shard is byte-deterministic on its own;
 //! because the shard *count* and per-shard seeds come from the
 //! [`FleetSpec`] (never from the host), and results are merged in shard
@@ -14,11 +14,9 @@
 //! scales with cores while the output stays a pure function of the spec.
 
 use bolted_crypto::sha256::{sha256, Digest};
-use bolted_firmware::KernelImage;
 use bolted_sim::fault::mix_seed;
-use bolted_sim::Sim;
 
-use crate::cloud::{Cloud, CloudConfig};
+use crate::cloud::{CloudConfig, World};
 use crate::profile::SecurityProfile;
 use crate::provision::{ProvisionError, Tenant};
 
@@ -152,24 +150,14 @@ where
 }
 
 /// Builds and provisions one shard, start to finish, on the calling
-/// thread. The shard's [`Sim`] never escapes this function, so it has
-/// exactly one driver for its whole life.
+/// thread. The shard's [`bolted_sim::Sim`] never escapes this function,
+/// so it has exactly one driver for its whole life.
 fn run_shard(spec: &FleetSpec, shard: usize) -> Result<ShardOutcome, ProvisionError> {
-    let sim = Sim::new();
-    let idx = shard.to_string();
-    let cloud = Cloud::build(
-        &sim,
-        CloudConfig {
-            nodes: spec.shard_nodes(shard),
-            seed: mix_seed(spec.seed, &["fleet-shard", &idx]),
-            ..CloudConfig::default()
-        },
-    );
-    let kernel = KernelImage::from_bytes("fedora28-4.17.9", b"vmlinuz+initrd");
-    let golden = cloud
-        .bmi
-        .create_golden("fedora28", 8 << 30, 7, &kernel, "")
-        .map_err(ProvisionError::Bmi)?;
+    let World { sim, cloud, golden } = World::build(CloudConfig {
+        nodes: spec.shard_nodes(shard),
+        seed: mix_seed(spec.seed, &["fleet-shard", &shard.to_string()]),
+        ..CloudConfig::default()
+    })?;
     let tenant = Tenant::new(&cloud, "charlie")?;
     let nodes = cloud.nodes();
     let profile = spec.profile.clone();

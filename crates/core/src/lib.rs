@@ -26,7 +26,7 @@ pub mod services;
 
 pub use calib::Calibration;
 pub use cloud::{
-    heads_runtime_digest, ipxe_digest, linuxboot_source, uefi_source, Cloud, CloudConfig,
+    heads_runtime_digest, ipxe_digest, linuxboot_source, uefi_source, Cloud, CloudConfig, World,
 };
 pub use enclave::{revocation_experiment, Enclave, RevocationReport};
 pub use fleet::{provision_fleet_parallel, run_sharded, FleetRunReport, FleetSpec, ShardOutcome};

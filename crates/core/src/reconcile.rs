@@ -28,8 +28,8 @@
 //! free pool without any operator runbook.
 //!
 //! [`reconcile_fleet_parallel`] scales this to a sharded fleet: each
-//! shard is one deterministic world (its own [`Sim`], [`Cloud`], tenants
-//! and reconcilers) driven to convergence inside one
+//! shard is one deterministic [`World`] plus its tenants and
+//! reconcilers, driven to convergence inside one
 //! [`bolted_sim::run_jobs`] pool job, with per-epoch churn
 //! (scale-up / scale-down / profile-flip / network-growth) derived
 //! purely from the spec's seed. Worker count never changes a byte of the
@@ -39,13 +39,12 @@
 use std::collections::BTreeMap;
 
 use bolted_crypto::sha256::{sha256, Digest};
-use bolted_firmware::KernelImage;
 use bolted_hil::NodeId;
 use bolted_sim::fault::{mix_seed, ops, FaultPlan, FaultSpec};
-use bolted_sim::{BoundedQueue, Rng, Sim, SimDuration, TokenBucket};
+use bolted_sim::{BoundedQueue, Rng, SimDuration, TokenBucket};
 use bolted_storage::ImageId;
 
-use crate::cloud::{Cloud, CloudConfig};
+use crate::cloud::{Cloud, CloudConfig, World};
 use crate::fleet::run_sharded;
 use crate::profile::{AttestationMode, SecurityProfile};
 use crate::provision::{ProvisionError, ProvisionedNode, Tenant};
@@ -682,24 +681,6 @@ impl ReconcileRunReport {
     }
 }
 
-/// Counts cross-tenant fabric paths between two holdings — any pair of
-/// hosts reachable across tenants is an isolation violation.
-fn cross_paths(cloud: &Cloud, a: &[ProvisionedNode], b: &[ProvisionedNode]) -> u64 {
-    let mut leaks = 0u64;
-    for va in a {
-        for vb in b {
-            let (Ok(ha), Ok(hb)) = (cloud.hil.node_host(va.node), cloud.hil.node_host(vb.node))
-            else {
-                continue;
-            };
-            if cloud.fabric.path(ha, hb).is_ok() {
-                leaks += 1;
-            }
-        }
-    }
-    leaks
-}
-
 /// Evaluates the scenario-harness isolation invariants over a shard at
 /// an epoch boundary; returns human-readable violations (empty = held).
 fn epoch_invariants(
@@ -709,9 +690,13 @@ fn epoch_invariants(
     attested_provisions: u64,
 ) -> Vec<String> {
     let mut violations = Vec::new();
-    for (i, a) in recs.iter().enumerate() {
-        for b in recs.iter().skip(i + 1) {
-            let leaks = cross_paths(cloud, a.holdings(), b.holdings());
+    let held: Vec<(&TenantReconciler, Vec<NodeId>)> = recs
+        .iter()
+        .map(|r| (r, r.holdings().iter().map(|p| p.node).collect()))
+        .collect();
+    for (i, (a, a_nodes)) in held.iter().enumerate() {
+        for (b, b_nodes) in held.iter().skip(i + 1) {
+            let leaks = cloud.cross_tenant_paths(a_nodes, b_nodes);
             if leaks > 0 {
                 violations.push(format!(
                     "epoch {epoch}: {leaks} cross-tenant fabric paths between {} and {}",
@@ -764,28 +749,18 @@ struct Tally {
 }
 
 /// Builds and reconciles one shard, start to finish, on the calling
-/// thread — the shard's [`Sim`] never escapes, so the run is a pure
+/// thread — the shard's sim never escapes, so the run is a pure
 /// function of `(spec, shard)`.
 fn run_reconcile_shard(
     spec: &ReconcileFleetSpec,
     shard: usize,
 ) -> Result<ShardReconcileOutcome, ProvisionError> {
-    let sim = Sim::new();
-    let idx = shard.to_string();
-    let cloud = Cloud::build(
-        &sim,
-        CloudConfig {
-            nodes: spec.nodes_per_shard,
-            seed: mix_seed(spec.seed, &["reconcile-shard", &idx]),
-            faults: spec.fault_plan(shard),
-            ..CloudConfig::default()
-        },
-    );
-    let kernel = KernelImage::from_bytes("fedora28-4.17.9", b"vmlinuz+initrd");
-    let golden = cloud
-        .bmi
-        .create_golden("fedora28", 8 << 30, 7, &kernel, "")
-        .map_err(ProvisionError::Bmi)?;
+    let World { sim, cloud, golden } = World::build(CloudConfig {
+        nodes: spec.nodes_per_shard,
+        seed: mix_seed(spec.seed, &["reconcile-shard", &shard.to_string()]),
+        faults: spec.fault_plan(shard),
+        ..CloudConfig::default()
+    })?;
     let mut recs = Vec::new();
     for t in 0..spec.tenants_per_shard {
         let tenant = Tenant::new(&cloud, &format!("tenant-{t:02}"))?;

@@ -26,21 +26,20 @@
 //!    abandoned node with no operator runbook at all.
 //!
 //! Every world is built from scratch inside its world function (its
-//! [`Sim`] never escapes), so scenario lists are byte-identical across
+//! sim never escapes), so scenario lists are byte-identical across
 //! pool worker counts — the same determinism contract as fleet shards.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use bolted_firmware::KernelImage;
 use bolted_hil::{HilError, NodeId};
 use bolted_keylime::VerifierConfig;
 use bolted_sim::fault::{ops, FaultPlan, FaultSpec};
 use bolted_sim::scenario::{Scenario, WorldFn, WorldReport};
-use bolted_sim::{join_all, Samples, Sim, SimDuration};
+use bolted_sim::{join_all, Samples, SimDuration};
 use bolted_storage::{ImageId, ObjectKey};
 
-use crate::cloud::{Cloud, CloudConfig};
+use crate::cloud::{Cloud, CloudConfig, World};
 use crate::profile::SecurityProfile;
 use crate::provision::{FleetReport, ProvisionError, Tenant};
 use crate::reconcile::{DesiredState, OpBudget, ReconcilerConfig, TenantReconciler};
@@ -60,30 +59,15 @@ pub enum ScenarioScale {
 // World plumbing shared by every scenario.
 // ---------------------------------------------------------------------------
 
-struct World {
-    sim: Sim,
-    cloud: Cloud,
-    golden: ImageId,
-}
-
-/// Builds a fresh deterministic world: executor, cloud and golden image.
+/// Builds a fresh deterministic [`World`] of `nodes` servers.
 fn world(nodes: usize, seed: u64, faults: FaultPlan) -> Result<World, ProvisionError> {
-    let sim = Sim::new();
-    let cloud = Cloud::build(
-        &sim,
-        CloudConfig {
-            nodes,
-            seed,
-            faults,
-            ..CloudConfig::default()
-        },
-    );
-    let kernel = KernelImage::from_bytes("fedora28-4.17.9", b"vmlinuz+initrd");
-    let golden = cloud
-        .bmi
-        .create_golden("fedora28", 8 << 30, 7, &kernel, "")
-        .map_err(ProvisionError::Bmi)?;
-    Ok(World { sim, cloud, golden })
+    World::build(CloudConfig {
+        nodes,
+        seed,
+        faults,
+        ..CloudConfig::default()
+    })
+    .map_err(ProvisionError::Bmi)
 }
 
 /// Runs a fallible world function. Infrastructure errors while standing
@@ -161,24 +145,6 @@ fn phase_p99(fleet: &FleetReport, phases: &[&str]) -> f64 {
         samples.push(total);
     }
     samples.percentile(99.0)
-}
-
-/// Ordered pairs of (victim node, attacker node) whose hosts can reach
-/// each other on some VLAN — the cross-tenant leak count, which every
-/// two-tenant scenario pins to zero.
-fn cross_tenant_paths(cloud: &Cloud, victim: &[NodeId], attacker: &[NodeId]) -> f64 {
-    let mut leaks = 0u64;
-    for &v in victim {
-        for &a in attacker {
-            let (Ok(vh), Ok(ah)) = (cloud.hil.node_host(v), cloud.hil.node_host(a)) else {
-                continue;
-            };
-            if cloud.fabric.path(vh, ah).is_ok() {
-                leaks += 1;
-            }
-        }
-    }
-    leaks as f64
 }
 
 /// Provisions `nodes` as one fleet call under the full attested profile.
@@ -372,7 +338,7 @@ fn airlock_world(
         );
         report.set(
             "cross_tenant_paths",
-            cross_tenant_paths(&w.cloud, &victim_nodes, &attacker_nodes),
+            w.cloud.cross_tenant_paths(&victim_nodes, &attacker_nodes) as f64,
         );
         report.set("free_nodes_after", w.cloud.hil.free_nodes().len() as f64);
         report.spans = w.cloud.spans.render();
@@ -593,7 +559,7 @@ fn quote_storm_world(
         );
         report.set(
             "cross_tenant_paths",
-            cross_tenant_paths(&w.cloud, &victim_nodes, &attacker_nodes),
+            w.cloud.cross_tenant_paths(&victim_nodes, &attacker_nodes) as f64,
         );
         report.spans = w.cloud.spans.render();
         report.metrics = w.cloud.metrics.to_json();

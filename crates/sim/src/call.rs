@@ -13,8 +13,9 @@
 //!   plan.
 //! * [`CallEnv`] sits on the *orchestration* side (a tenant script, the
 //!   verifier). It bundles the clock with fault/span/metrics handles and
-//!   fronts [`retry_if_observed`] so retried service calls are uniformly
-//!   counted and backed off, and phase spans open and close in one place.
+//!   runs the one retry loop ([`CallEnv::call`]) so retried service calls
+//!   are uniformly counted and backed off, and phase spans open and close
+//!   in one place.
 //!
 //! Both are cheap to clone and use double indirection (`Arc<Mutex<…>>`)
 //! so a handle installed *after* a component was cloned into its
@@ -29,7 +30,7 @@ use crate::executor::lock;
 use crate::executor::Sim;
 use crate::fault::{FaultDecision, FaultInjected, Faults};
 use crate::metrics::Metrics;
-use crate::retry::{retry_if_observed, RetryError, RetryPolicy};
+use crate::retry::{with_timeout, RetryError, RetryPolicy};
 use crate::rng::Rng;
 use crate::span::{SpanId, Spans};
 use crate::time::SimTime;
@@ -210,13 +211,18 @@ impl CallEnv {
     /// `retry_attempts{op,target}`. This is the uniform envelope for
     /// retried service calls: same backoff, same jitter, same counters,
     /// regardless of which service sits behind `op`.
+    ///
+    /// `op` is called once per attempt and must return a fresh future
+    /// each time. The counter is bumped, and jitter drawn from `rng`,
+    /// only when the loop actually goes around again, so a first-try
+    /// success costs no counter row, no RNG draw and no sleep.
     pub async fn call<T, E, F, Fut, P>(
         &self,
         policy: &RetryPolicy,
         rng: &mut Rng,
         op_name: &str,
         target: &str,
-        op: F,
+        mut op: F,
         is_transient: P,
     ) -> Result<T, RetryError<E>>
     where
@@ -225,17 +231,35 @@ impl CallEnv {
         P: Fn(&E) -> bool,
     {
         let metrics = self.metrics();
-        retry_if_observed(
-            &self.sim,
-            policy,
-            rng,
-            &metrics,
-            op_name,
-            target,
-            op,
-            is_transient,
-        )
-        .await
+        let max = policy.max_attempts.max(1);
+        let mut failures = 0u32;
+        loop {
+            let attempts = failures + 1;
+            let outcome = match policy.timeout {
+                Some(limit) => with_timeout(&self.sim, limit, op()).await,
+                None => Some(op().await),
+            };
+            match outcome {
+                Some(Ok(v)) => return Ok(v),
+                Some(Err(error)) if !is_transient(&error) => {
+                    return Err(RetryError::Fatal { attempts, error });
+                }
+                Some(Err(last)) if attempts >= max => {
+                    return Err(RetryError::Exhausted { attempts, last });
+                }
+                None if attempts >= max => return Err(RetryError::TimedOut { attempts }),
+                _ => {}
+            }
+            metrics.inc("retry_attempts", &[("op", op_name), ("target", target)]);
+            let mut backoff = policy.backoff_for(failures);
+            if policy.jitter_cv > 0.0 {
+                backoff = backoff.mul_f64(rng.jitter(policy.jitter_cv));
+            }
+            if !backoff.is_zero() {
+                self.sim.sleep(backoff).await;
+            }
+            failures += 1;
+        }
     }
 
     /// Opens a phase span under `category` and records its start time.
@@ -299,47 +323,6 @@ mod tests {
         gate.set_metrics(&metrics);
         taken_early.count("hil_ops", "op", "allocate");
         assert_eq!(metrics.counter("hil_ops", &[("op", "allocate")]), 1);
-    }
-
-    #[test]
-    fn env_call_retries_through_the_uniform_envelope() {
-        let sim = Sim::new();
-        let env = CallEnv::new(&sim);
-        let metrics = Metrics::new();
-        env.set_observability(&Spans::disabled(), &metrics);
-        let policy = RetryPolicy::default();
-        let result: Result<u32, RetryError<&str>> = sim.block_on({
-            let env = env.clone();
-            async move {
-                let mut rng = Rng::seed_from_u64(1);
-                let attempts = Arc::new(Mutex::new(0u32));
-                env.call(
-                    &policy,
-                    &mut rng,
-                    "svc.op",
-                    "t1",
-                    || {
-                        let attempts = attempts.clone();
-                        async move {
-                            let mut n = lock(&attempts);
-                            *n += 1;
-                            if *n < 3 {
-                                Err("transient")
-                            } else {
-                                Ok(*n)
-                            }
-                        }
-                    },
-                    |_| true,
-                )
-                .await
-            }
-        });
-        assert_eq!(result.unwrap(), 3);
-        assert_eq!(
-            metrics.counter("retry_attempts", &[("op", "svc.op"), ("target", "t1")]),
-            2
-        );
     }
 
     #[test]

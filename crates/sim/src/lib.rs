@@ -27,7 +27,6 @@ pub mod span;
 mod stats;
 mod sync;
 mod time;
-mod trace;
 
 pub use call::{CallEnv, OpGate, PhaseHandle};
 pub use executor::{join_all, lock, JoinHandle, Sim, Sleep};
@@ -35,7 +34,7 @@ pub use fault::{FaultDecision, FaultInjected, FaultPlan, FaultSpec, Faults};
 pub use metrics::{Histogram, Metrics, MetricsSnapshot};
 pub use pool::{max_workers, run_jobs};
 pub use queue::{BoundedQueue, QueueStats, TokenBucket};
-pub use retry::{retry, retry_if, retry_if_observed, with_timeout, RetryError, RetryPolicy};
+pub use retry::{RetryError, RetryPolicy};
 pub use rng::{Rng, SplitMix64};
 pub use scenario::{
     run_scenarios, Bound, CheckOutcome, Scenario, ScenarioOutcome, ScenarioRunReport, WorldFn,
@@ -45,4 +44,3 @@ pub use span::{SpanGuard, SpanId, SpanRecord, Spans};
 pub use stats::{OnlineStats, Samples};
 pub use sync::{channel, Acquire, Event, EventWait, Permit, Receiver, Recv, Resource, Sender};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, Tracer};

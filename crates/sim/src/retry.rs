@@ -3,24 +3,23 @@
 //!
 //! The provisioning pipeline talks to BMCs, switches, storage gateways
 //! and attestation services, any of which can transiently fail under a
-//! [`crate::fault::FaultPlan`]. This module gives every caller the same
-//! disciplined recovery loop: bounded attempts, exponential backoff with
+//! [`crate::fault::FaultPlan`]. This module holds the policy and error
+//! types of the one recovery loop every caller shares,
+//! [`crate::CallEnv::call`]: bounded attempts, exponential backoff with
 //! seeded jitter, optional per-operation timeouts raced on `sim.sleep`,
 //! and a structured [`RetryError`] distinguishing "gave up" from "this
 //! error is not retryable".
 //!
 //! Determinism: on the happy path (first attempt succeeds) the loop
-//! performs no sleeps and draws nothing from the RNG, so wrapping an
-//! operation in [`retry`] does not shift virtual time or RNG streams in
-//! a fault-free simulation.
+//! performs no sleeps and draws nothing from the RNG, so retrying an
+//! operation does not shift virtual time or RNG streams in a fault-free
+//! simulation.
 
 use std::future::Future;
 use std::pin::Pin;
 use std::task::Poll;
 
 use crate::executor::Sim;
-use crate::metrics::Metrics;
-use crate::rng::Rng;
 use crate::time::SimDuration;
 
 /// Tunables for one class of retried operation.
@@ -55,29 +54,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (one attempt, no backoff).
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Sets the number of attempts.
-    pub fn attempts(mut self, n: u32) -> Self {
-        self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Sets the per-attempt timeout.
-    pub fn with_timeout(mut self, t: SimDuration) -> Self {
-        self.timeout = Some(t);
-        self
-    }
-
     /// Backoff before attempt `n + 2` (0-based index of completed
     /// failures), before jitter: `base * 2^n`, capped at `max_backoff`.
-    fn backoff_for(&self, failures: u32) -> SimDuration {
+    pub(crate) fn backoff_for(&self, failures: u32) -> SimDuration {
         let shift = failures.min(32);
         let ns = self
             .base_backoff
@@ -151,7 +130,7 @@ impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for RetryError<E>
 /// Races `fut` against a virtual-time deadline. Returns `None` when the
 /// deadline fires first. The losing future is dropped, which cancels it
 /// (simulated work is all cooperative).
-pub async fn with_timeout<T>(
+pub(crate) async fn with_timeout<T>(
     sim: &Sim,
     limit: SimDuration,
     fut: impl Future<Output = T>,
@@ -170,139 +149,21 @@ pub async fn with_timeout<T>(
     .await
 }
 
-/// Retries `op` up to `policy.max_attempts` times, backing off between
-/// attempts, as long as `is_transient` says the error is worth retrying.
-///
-/// `op` is called once per attempt and must return a fresh future each
-/// time (clone your handles into an `async move` block). Jitter is drawn
-/// from `rng` only when a backoff actually happens, so the fault-free
-/// path costs zero draws and zero sleeps.
-pub async fn retry_if<T, E, F, Fut, P>(
-    sim: &Sim,
-    policy: &RetryPolicy,
-    rng: &mut Rng,
-    op: F,
-    is_transient: P,
-) -> Result<T, RetryError<E>>
-where
-    F: FnMut() -> Fut,
-    Fut: Future<Output = Result<T, E>>,
-    P: FnMut(&E) -> bool,
-{
-    retry_if_inner(sim, policy, rng, op, is_transient, None).await
-}
-
-/// [`retry_if`] that also accounts each re-attempt into `metrics` as
-/// `retry_attempts{op=.., target=..}` — one increment per attempt
-/// *beyond the first*, stamped when the loop decides to go around again
-/// (so a happy first try leaves the counter untouched, matching the
-/// zero-cost guarantee above).
-#[allow(clippy::too_many_arguments)]
-pub async fn retry_if_observed<T, E, F, Fut, P>(
-    sim: &Sim,
-    policy: &RetryPolicy,
-    rng: &mut Rng,
-    metrics: &Metrics,
-    op_name: &str,
-    target: &str,
-    op: F,
-    is_transient: P,
-) -> Result<T, RetryError<E>>
-where
-    F: FnMut() -> Fut,
-    Fut: Future<Output = Result<T, E>>,
-    P: FnMut(&E) -> bool,
-{
-    retry_if_inner(
-        sim,
-        policy,
-        rng,
-        op,
-        is_transient,
-        Some((metrics, op_name, target)),
-    )
-    .await
-}
-
-async fn retry_if_inner<T, E, F, Fut, P>(
-    sim: &Sim,
-    policy: &RetryPolicy,
-    rng: &mut Rng,
-    mut op: F,
-    mut is_transient: P,
-    obs: Option<(&Metrics, &str, &str)>,
-) -> Result<T, RetryError<E>>
-where
-    F: FnMut() -> Fut,
-    Fut: Future<Output = Result<T, E>>,
-    P: FnMut(&E) -> bool,
-{
-    let max = policy.max_attempts.max(1);
-    let mut failures = 0u32;
-    loop {
-        let attempt_no = failures + 1;
-        let outcome = match policy.timeout {
-            Some(limit) => with_timeout(sim, limit, op()).await,
-            None => Some(op().await),
-        };
-        match outcome {
-            Some(Ok(v)) => return Ok(v),
-            Some(Err(e)) if !is_transient(&e) => {
-                return Err(RetryError::Fatal {
-                    attempts: attempt_no,
-                    error: e,
-                });
-            }
-            Some(Err(e)) => {
-                if attempt_no >= max {
-                    return Err(RetryError::Exhausted {
-                        attempts: attempt_no,
-                        last: e,
-                    });
-                }
-            }
-            None => {
-                if attempt_no >= max {
-                    return Err(RetryError::TimedOut {
-                        attempts: attempt_no,
-                    });
-                }
-            }
-        }
-        if let Some((metrics, op_name, target)) = obs {
-            metrics.inc("retry_attempts", &[("op", op_name), ("target", target)]);
-        }
-        let mut backoff = policy.backoff_for(failures);
-        if policy.jitter_cv > 0.0 {
-            backoff = backoff.mul_f64(rng.jitter(policy.jitter_cv));
-        }
-        if !backoff.is_zero() {
-            sim.sleep(backoff).await;
-        }
-        failures += 1;
-    }
-}
-
-/// [`retry_if`] with every error treated as transient.
-pub async fn retry<T, E, F, Fut>(
-    sim: &Sim,
-    policy: &RetryPolicy,
-    rng: &mut Rng,
-    op: F,
-) -> Result<T, RetryError<E>>
-where
-    F: FnMut() -> Fut,
-    Fut: Future<Output = Result<T, E>>,
-{
-    retry_if(sim, policy, rng, op, |_| true).await
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metrics;
+    use crate::rng::Rng;
+    use crate::span::Spans;
+    use crate::time::SimTime;
+    use crate::CallEnv;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
+    type Outcome = Result<u32, RetryError<&'static str>>;
+
+    /// An op that takes `cost` of virtual time per attempt and fails
+    /// with `"transient"` on its first `fail_first` attempts.
     fn flaky_op(
         sim: &Sim,
         calls: &Arc<AtomicU32>,
@@ -326,25 +187,59 @@ mod tests {
         }
     }
 
+    /// Drives `flaky_op(fail_first, cost)` through [`CallEnv::call`] on
+    /// `env` as op `svc.op` against `target`. Returns the outcome, the
+    /// virtual time the call returned at, the attempts made and the RNG
+    /// as the loop left it.
+    fn call(
+        env: &CallEnv,
+        policy: RetryPolicy,
+        target: &'static str,
+        fail_first: u32,
+        cost: SimDuration,
+        transient: fn(&&'static str) -> bool,
+    ) -> (Outcome, SimTime, u32, Rng) {
+        let sim = env.sim().clone();
+        let calls = Arc::new(AtomicU32::new(0));
+        let op = flaky_op(&sim, &calls, fail_first, cost);
+        let (got, done_at, rng) = sim.block_on({
+            let env = env.clone();
+            async move {
+                let mut rng = Rng::seed_from_u64(1);
+                let got = env
+                    .call(&policy, &mut rng, "svc.op", target, op, transient)
+                    .await;
+                (got, env.sim().now(), rng)
+            }
+        });
+        (got, done_at, calls.load(Ordering::Relaxed), rng)
+    }
+
+    fn exact(max_attempts: u32, timeout: Option<SimDuration>) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            base_backoff: SimDuration::from_millis(100),
+            max_backoff: SimDuration::from_secs(10),
+            timeout,
+            jitter_cv: 0.0, // exact timing checks
+        }
+    }
+
     #[test]
     fn first_attempt_success_costs_no_time_or_rng_draws() {
-        let sim = Sim::new();
-        let calls = Arc::new(AtomicU32::new(0));
-        let rng = Rng::seed_from_u64(1);
-        let before = rng.clone();
-        let op = flaky_op(&sim, &calls, 0, SimDuration::ZERO);
-        let got = sim.block_on({
-            let sim2 = sim.clone();
-            let mut rng2 = rng.clone();
-            async move { retry(&sim2, &RetryPolicy::default(), &mut rng2, op).await }
-        });
+        let env = CallEnv::new(&Sim::new());
+        let (got, done_at, _, mut rng) = call(
+            &env,
+            RetryPolicy::default(),
+            "t",
+            0,
+            SimDuration::ZERO,
+            |_| true,
+        );
         assert_eq!(got, Ok(1));
-        assert_eq!(sim.now().as_nanos(), 0, "no backoff, no timers");
-        // The rng we passed was a clone; verify the original would have
-        // produced the same stream, i.e. nothing was drawn.
-        let mut a = before;
-        let mut b = Rng::seed_from_u64(1);
-        assert_eq!(a.next_u64(), b.next_u64());
+        assert_eq!(done_at.as_nanos(), 0, "no backoff, no timers");
+        // The loop handed the RNG back exactly as seeded: nothing drawn.
+        assert_eq!(rng.next_u64(), Rng::seed_from_u64(1).next_u64());
     }
 
     #[test]
@@ -362,44 +257,21 @@ mod tests {
 
     #[test]
     fn retries_until_success_with_backoff_time() {
-        let sim = Sim::new();
-        let calls = Arc::new(AtomicU32::new(0));
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            base_backoff: SimDuration::from_millis(100),
-            max_backoff: SimDuration::from_secs(10),
-            timeout: None,
-            jitter_cv: 0.0, // exact timing check
-        };
-        let op = flaky_op(&sim, &calls, 2, SimDuration::ZERO);
-        let got = sim.block_on({
-            let sim2 = sim.clone();
-            async move {
-                let mut rng = Rng::seed_from_u64(1);
-                retry(&sim2, &policy, &mut rng, op).await
-            }
-        });
+        let env = CallEnv::new(&Sim::new());
+        let (got, done_at, _, _) = call(&env, exact(5, None), "t", 2, SimDuration::ZERO, |_| true);
         assert_eq!(got, Ok(3));
         // Two failures -> backoffs of 100ms and 200ms.
-        assert_eq!(
-            sim.now().as_nanos(),
-            SimDuration::from_millis(300).as_nanos()
-        );
+        assert_eq!(done_at.as_nanos(), SimDuration::from_millis(300).as_nanos());
     }
 
     #[test]
     fn exhaustion_reports_attempts_and_last_error() {
-        let sim = Sim::new();
-        let calls = Arc::new(AtomicU32::new(0));
-        let policy = RetryPolicy::default().attempts(3);
-        let op = flaky_op(&sim, &calls, 99, SimDuration::ZERO);
-        let got = sim.block_on({
-            let sim2 = sim.clone();
-            async move {
-                let mut rng = Rng::seed_from_u64(1);
-                retry(&sim2, &policy, &mut rng, op).await
-            }
-        });
+        let env = CallEnv::new(&Sim::new());
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        };
+        let (got, _, calls, _) = call(&env, policy, "t", 99, SimDuration::ZERO, |_| true);
         match got {
             Err(RetryError::Exhausted { attempts, last }) => {
                 assert_eq!(attempts, 3);
@@ -407,70 +279,45 @@ mod tests {
             }
             other => panic!("expected exhaustion, got {other:?}"),
         }
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert_eq!(calls, 3);
     }
 
     #[test]
     fn fatal_errors_bypass_remaining_attempts() {
-        let sim = Sim::new();
-        let calls = Arc::new(AtomicU32::new(0));
-        let got = sim.block_on({
-            let sim2 = sim.clone();
-            let calls2 = calls.clone();
-            async move {
-                let mut rng = Rng::seed_from_u64(1);
-                retry_if(
-                    &sim2,
-                    &RetryPolicy::default(),
-                    &mut rng,
-                    move || {
-                        let calls3 = calls2.clone();
-                        async move {
-                            calls3.fetch_add(1, Ordering::Relaxed);
-                            Err::<(), _>("fatal")
-                        }
-                    },
-                    |e| *e != "fatal",
-                )
-                .await
-            }
-        });
-        match got {
+        let env = CallEnv::new(&Sim::new());
+        let (got, _, calls, _) = call(
+            &env,
+            RetryPolicy::default(),
+            "t",
+            99,
+            SimDuration::ZERO,
+            |_| false,
+        );
+        match &got {
             Err(RetryError::Fatal { attempts, error }) => {
-                assert_eq!(attempts, 1);
-                assert_eq!(error, "fatal");
+                assert_eq!(*attempts, 1);
+                assert_eq!(*error, "transient");
             }
             other => panic!("expected fatal, got {other:?}"),
         }
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(calls, 1);
         assert_eq!(
             got.unwrap_err().to_string(),
-            "fatal",
+            "transient",
             "fatal errors display as themselves"
         );
     }
 
     #[test]
     fn per_attempt_timeout_fires_and_reports() {
-        let sim = Sim::new();
-        let calls = Arc::new(AtomicU32::new(0));
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            base_backoff: SimDuration::from_millis(10),
-            max_backoff: SimDuration::from_secs(1),
-            timeout: Some(SimDuration::from_secs(1)),
-            jitter_cv: 0.0,
-        };
         // Operation takes 5s, timeout is 1s: both attempts time out.
-        let op = flaky_op(&sim, &calls, 0, SimDuration::from_secs(5));
-        let (got, done_at) = sim.block_on({
-            let sim2 = sim.clone();
-            async move {
-                let mut rng = Rng::seed_from_u64(1);
-                let r = retry(&sim2, &policy, &mut rng, op).await;
-                (r, sim2.now())
-            }
-        });
+        let env = CallEnv::new(&Sim::new());
+        let policy = RetryPolicy {
+            base_backoff: SimDuration::from_millis(10),
+            ..exact(2, Some(SimDuration::from_secs(1)))
+        };
+        let (got, done_at, calls, _) =
+            call(&env, policy, "t", 0, SimDuration::from_secs(5), |_| true);
         match got {
             Err(RetryError::TimedOut { attempts }) => assert_eq!(attempts, 2),
             other => panic!("expected timeout, got {other:?}"),
@@ -483,7 +330,7 @@ mod tests {
             done_at.as_nanos(),
             SimDuration::from_millis(2010).as_nanos()
         );
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "slow op never completed");
+        assert_eq!(calls, 0, "slow op never completed");
     }
 
     #[test]
@@ -504,60 +351,34 @@ mod tests {
 
     #[test]
     fn observed_retries_count_reattempts_only() {
-        let sim = Sim::new();
+        let env = CallEnv::new(&Sim::new());
         let metrics = Metrics::new();
-        let labels: &[(&str, &str)] = &[("op", "bmc.power"), ("target", "n1")];
+        env.set_observability(&Spans::disabled(), &metrics);
+        let count =
+            |target| metrics.counter("retry_attempts", &[("op", "svc.op"), ("target", target)]);
         // Two failures then success: exactly 2 re-attempts recorded.
-        let calls = Arc::new(AtomicU32::new(0));
-        let op = flaky_op(&sim, &calls, 2, SimDuration::ZERO);
-        let got = sim.block_on({
-            let sim2 = sim.clone();
-            let m2 = metrics.clone();
-            async move {
-                let mut rng = Rng::seed_from_u64(1);
-                retry_if_observed(
-                    &sim2,
-                    &RetryPolicy::default(),
-                    &mut rng,
-                    &m2,
-                    "bmc.power",
-                    "n1",
-                    op,
-                    |_| true,
-                )
-                .await
-            }
-        });
-        assert_eq!(got, Ok(3));
-        assert_eq!(metrics.counter("retry_attempts", labels), 2);
-
-        // First-try success leaves the counter untouched.
-        let calls = Arc::new(AtomicU32::new(0));
-        let op = flaky_op(&sim, &calls, 0, SimDuration::ZERO);
-        let got = sim.block_on({
-            let sim2 = sim.clone();
-            let m2 = metrics.clone();
-            async move {
-                let mut rng = Rng::seed_from_u64(1);
-                retry_if_observed(
-                    &sim2,
-                    &RetryPolicy::default(),
-                    &mut rng,
-                    &m2,
-                    "bmc.power",
-                    "n2",
-                    op,
-                    |_| true,
-                )
-                .await
-            }
-        });
-        assert_eq!(got, Ok(1));
-        assert_eq!(
-            metrics.counter("retry_attempts", &[("op", "bmc.power"), ("target", "n2")]),
-            0
+        let (got, ..) = call(
+            &env,
+            RetryPolicy::default(),
+            "n1",
+            2,
+            SimDuration::ZERO,
+            |_| true,
         );
-        assert_eq!(metrics.counter("retry_attempts", labels), 2, "n1 unchanged");
+        assert_eq!(got, Ok(3));
+        assert_eq!(count("n1"), 2);
+        // First-try success leaves the counter untouched.
+        let (got, ..) = call(
+            &env,
+            RetryPolicy::default(),
+            "n2",
+            0,
+            SimDuration::ZERO,
+            |_| true,
+        );
+        assert_eq!(got, Ok(1));
+        assert_eq!(count("n2"), 0);
+        assert_eq!(count("n1"), 2, "n1 unchanged");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Online statistics and series collection for experiment harnesses.
 
-use crate::time::SimDuration;
-
 /// Streaming mean/variance accumulator (Welford's algorithm) with min/max.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
@@ -32,11 +30,6 @@ impl OnlineStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Adds a duration observation, in seconds.
-    pub fn push_duration(&mut self, d: SimDuration) {
-        self.push(d.as_secs_f64());
     }
 
     /// Number of observations.
@@ -102,11 +95,6 @@ impl Samples {
     /// Adds an observation.
     pub fn push(&mut self, x: f64) {
         self.values.push(x);
-    }
-
-    /// Adds a duration observation, in seconds.
-    pub fn push_duration(&mut self, d: SimDuration) {
-        self.values.push(d.as_secs_f64());
     }
 
     /// All observations, in insertion order.
@@ -197,13 +185,6 @@ mod tests {
         s.push(3.5);
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn push_duration_converts_to_seconds() {
-        let mut s = OnlineStats::new();
-        s.push_duration(SimDuration::from_millis(1500));
-        assert!((s.mean() - 1.5).abs() < 1e-12);
     }
 
     #[test]

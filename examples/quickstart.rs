@@ -2,8 +2,9 @@
 //!
 //! Walks the Figure 1 life cycle for the paper's security-sensitive
 //! tenant "Charlie": allocate → airlock → measured boot → remote
-//! attestation → key bootstrap → enclave → kexec — and prints the same
-//! per-phase timing breakdown as Figure 4.
+//! attestation → key bootstrap → enclave → kexec — and prints the span
+//! tree the run recorded, then the same per-phase timing breakdown as
+//! Figure 4.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -22,7 +23,6 @@ fn main() {
             ..CloudConfig::default()
         },
     );
-    cloud.tracer.set_echo(true);
 
     // The provider (or the tenant!) registers a golden OS image.
     let kernel = KernelImage::from_bytes("fedora28-4.17.9", b"vmlinuz + initramfs");
@@ -52,6 +52,9 @@ fn main() {
             }
         })
         .expect("attested provisioning");
+
+    println!("=== Span tree ===");
+    print!("{}", cloud.spans.render());
 
     println!("\n=== Figure 4-style breakdown ===");
     print!("{}", provisioned.report.render());

@@ -10,16 +10,11 @@
 // subset of it.
 #![allow(dead_code)]
 
-use bolted::core::{Cloud, CloudConfig, FleetReport, SecurityProfile, Tenant};
-use bolted::firmware::{FirmwareKind, KernelImage};
+use bolted::core::{Cloud, CloudConfig, FleetReport, SecurityProfile, Tenant, World};
+use bolted::firmware::FirmwareKind;
 use bolted::sim::fault::FaultPlan;
 use bolted::sim::Sim;
 use bolted::storage::ImageId;
-
-/// The canonical kernel every integration world boots.
-pub fn paper_kernel() -> KernelImage {
-    KernelImage::from_bytes("fedora28-4.17.9", b"vmlinuz+initrd")
-}
 
 /// Accumulates the knobs a test world can vary; finish with
 /// [`WorldBuilder::build`].
@@ -59,7 +54,6 @@ impl WorldBuilder {
 
     /// Builds the executor, the cloud, and the golden image.
     pub fn build(self) -> (Sim, Cloud, ImageId) {
-        let sim = Sim::new();
         let mut config = CloudConfig {
             nodes: self.nodes,
             faults: self.faults,
@@ -68,11 +62,7 @@ impl WorldBuilder {
         if let Some(firmware) = self.firmware {
             config.firmware = firmware;
         }
-        let cloud = Cloud::build(&sim, config);
-        let golden = cloud
-            .bmi
-            .create_golden("fedora28", 8 << 30, 7, &paper_kernel(), "")
-            .expect("golden");
+        let World { sim, cloud, golden } = World::build(config).expect("golden");
         (sim, cloud, golden)
     }
 }

@@ -4,27 +4,19 @@
 
 use bolted::core::{
     foreman_provision, foreman_release_with_scrub, Cloud, CloudConfig, NodeState, SecurityProfile,
-    Tenant,
+    Tenant, World,
 };
-use bolted::firmware::{FirmwareKind, KernelImage};
+use bolted::firmware::FirmwareKind;
 use bolted::sim::{join_all, Sim};
 use bolted::storage::ImageId;
 
 fn build(nodes: usize, firmware: FirmwareKind) -> (Sim, Cloud, ImageId) {
-    let sim = Sim::new();
-    let cloud = Cloud::build(
-        &sim,
-        CloudConfig {
-            nodes,
-            firmware,
-            ..CloudConfig::default()
-        },
-    );
-    let kernel = KernelImage::from_bytes("fedora28-4.17.9", b"vmlinuz+initrd");
-    let golden = cloud
-        .bmi
-        .create_golden("fedora28", 8 << 30, 7, &kernel, "")
-        .expect("golden");
+    let World { sim, cloud, golden } = World::build(CloudConfig {
+        nodes,
+        firmware,
+        ..CloudConfig::default()
+    })
+    .expect("golden");
     (sim, cloud, golden)
 }
 

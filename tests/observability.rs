@@ -113,6 +113,12 @@ fn multi_threaded_fleet_runs_are_byte_identical_across_worker_counts() {
         }
         assert_eq!(first.digest(), run.digest(), "run {i} digest diverged");
     }
+    // Pinned, so a change that shifts every worker count the same way
+    // still fails here.
+    assert_eq!(
+        first.digest().to_hex(),
+        "fc15228e0310861f1d7c1b9386f64df2074de5ae980661c32e4d1784e208d927"
+    );
 }
 
 // -- retry / fault accounting ------------------------------------------------
