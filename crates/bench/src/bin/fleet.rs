@@ -23,7 +23,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use bolted_bench::determinism::{
-    require_byte_identical, smoke_flag, write_artifact, DeterminismSweep,
+    require_byte_identical, smoke_flag, speedup_json, speedup_label, speedup_vs_1, write_artifact,
+    DeterminismSweep,
 };
 use bolted_core::{provision_fleet_parallel, FleetSpec};
 
@@ -69,14 +70,14 @@ fn main() {
         };
         let wall = t0.elapsed().as_secs_f64();
         let rate = spec.total_nodes() as f64 / wall;
-        let base = runs.first().map_or(rate, |r| r.nodes_per_second);
-        let speedup_vs_1 = (workers <= max).then_some(rate / base);
+        let wall_1 = runs.first().map_or(wall, |r| r.wall_seconds);
+        let speedup_vs_1 = speedup_vs_1(workers, max, wall_1, wall);
         let d = report.digest().to_hex();
         eprintln!(
             "workers={workers:<3} nodes={} ok={} wall={wall:.2}s ({rate:.1} nodes/s) speedup={} digest={}",
             spec.total_nodes(),
             report.ok(),
-            speedup_vs_1.map_or("n/a (cores < workers)".to_string(), |s| format!("{s:.2}x")),
+            speedup_label(speedup_vs_1),
             &d[..12],
         );
         if report.ok() != spec.total_nodes() {
@@ -122,7 +123,7 @@ fn main() {
             r.workers,
             r.wall_seconds,
             r.nodes_per_second,
-            r.speedup_vs_1.map_or("null".to_string(), |s| format!("{s:.2}")),
+            speedup_json(r.speedup_vs_1),
         );
     }
     let _ = writeln!(json, "  ]");

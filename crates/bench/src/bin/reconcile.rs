@@ -26,13 +26,16 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use bolted_bench::determinism::{
-    require_byte_identical, smoke_flag, write_artifact, DeterminismSweep,
+    require_byte_identical, smoke_flag, speedup_json, speedup_label, speedup_vs_1, write_artifact,
+    DeterminismSweep,
 };
 use bolted_core::{reconcile_fleet_parallel, ReconcileFleetSpec, ReconcileRunReport};
 
 struct Run {
     workers: usize,
     wall_seconds: f64,
+    /// Over the 1-worker run; `None` beyond the host's cores.
+    speedup_vs_1: Option<f64>,
 }
 
 fn main() {
@@ -45,6 +48,7 @@ fn main() {
         ReconcileFleetSpec::new(50, 200, 10, 3, 0xAD5E_0007)
     };
     let worker_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
+    let cores = bolted_sim::max_workers();
 
     let mut runs: Vec<Run> = Vec::new();
     let mut sweep = DeterminismSweep::new();
@@ -59,10 +63,12 @@ fn main() {
             }
         };
         let wall = t0.elapsed().as_secs_f64();
+        let wall_1 = runs.first().map_or(wall, |r| r.wall_seconds);
+        let speedup_vs_1 = speedup_vs_1(workers, cores, wall_1, wall);
         let d = report.digest().to_hex();
         eprintln!(
             "workers={workers:<3} nodes={} tenants={} ticks={} provisioned={} released={} \
-             deferred={} converged={} violations={} wall={wall:.2}s digest={}",
+             deferred={} converged={} violations={} wall={wall:.2}s speedup={} digest={}",
             spec.total_nodes(),
             spec.total_tenants(),
             report.total("ticks"),
@@ -71,12 +77,14 @@ fn main() {
             report.total("deferred"),
             report.converged(),
             report.violations().len(),
+            speedup_label(speedup_vs_1),
             &d[..12],
         );
         sweep.observe(&d);
         runs.push(Run {
             workers,
             wall_seconds: wall,
+            speedup_vs_1,
         });
         last = Some(report);
     }
@@ -119,6 +127,7 @@ fn main() {
     ] {
         let _ = writeln!(json, "  \"{name}\": {},", report.total(name));
     }
+    let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(json, "  \"digest\": \"{}\",", sweep.fingerprint());
     let _ = writeln!(json, "  \"byte_identical\": {},", sweep.byte_identical());
     let _ = writeln!(json, "  \"runs\": [");
@@ -126,8 +135,10 @@ fn main() {
         let comma = if i + 1 < runs.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"workers\": {}, \"wall_seconds\": {:.3}}}{comma}",
-            r.workers, r.wall_seconds,
+            "    {{\"workers\": {}, \"wall_seconds\": {:.3}, \"speedup_vs_1\": {}}}{comma}",
+            r.workers,
+            r.wall_seconds,
+            speedup_json(r.speedup_vs_1),
         );
     }
     let _ = writeln!(json, "  ]");

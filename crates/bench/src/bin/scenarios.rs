@@ -10,14 +10,19 @@
 //! cargo run --release -p bolted-bench --bin scenarios [-- --smoke]
 //! ```
 //!
-//! Writes `results/scenarios.json` (per-scenario verdicts, measurements
-//! and victim-vs-baseline degradation ratios) when run from the repo
-//! root, and echoes the same JSON to stdout. `--smoke` runs the
-//! smoke-scale worlds as a pass/fail verify gate and never writes the
-//! file — a gate must not clobber the committed full-scale artifact.
+//! Writes `results/scenarios.json` (host cores, wall time per pool size,
+//! per-scenario verdicts, measurements and victim-vs-baseline
+//! degradation ratios) when run from the repo root, and echoes the same
+//! JSON to stdout. `--smoke` runs the smoke-scale worlds as a pass/fail
+//! verify gate and never writes the file — a gate must not clobber the
+//! committed full-scale artifact.
+
+use std::fmt::Write as _;
+use std::time::Instant;
 
 use bolted_bench::determinism::{
-    require_byte_identical, smoke_flag, write_artifact, DeterminismSweep,
+    require_byte_identical, smoke_flag, speedup_json, speedup_label, speedup_vs_1, write_artifact,
+    DeterminismSweep,
 };
 use bolted_core::{paper_scenarios, ScenarioScale};
 use bolted_crypto::sha256::sha256;
@@ -31,18 +36,27 @@ fn main() {
         ScenarioScale::Full
     };
 
+    let cores = bolted_sim::max_workers();
     let mut sweep = DeterminismSweep::new();
     let mut report = None;
+    // (workers, wall seconds, speedup over 1 worker) per pool size.
+    let mut runs: Vec<(usize, f64, Option<f64>)> = Vec::new();
     for &workers in &[1usize, 2, 4] {
+        let t0 = Instant::now();
         let run = run_scenarios(paper_scenarios(scale), workers);
+        let wall = t0.elapsed().as_secs_f64();
+        let wall_1 = runs.first().map_or(wall, |r| r.1);
+        let speedup = speedup_vs_1(workers, cores, wall_1, wall);
         let fp = run.fingerprint();
         eprintln!(
-            "workers={workers} scenarios={} passed={} digest={}",
+            "workers={workers} scenarios={} passed={} wall={wall:.2}s speedup={} digest={}",
             run.outcomes.len(),
             run.passed(),
+            speedup_label(speedup),
             &sha256(fp.as_bytes()).to_hex()[..12],
         );
         sweep.observe(&fp);
+        runs.push((workers, wall, speedup));
         report = Some(run);
     }
     let Some(report) = report else {
@@ -60,6 +74,16 @@ fn main() {
 
     let digest = sha256(sweep.fingerprint().as_bytes()).to_hex();
     let byte_identical = sweep.byte_identical();
+    let mut timing = format!("  \"cores\": {cores},\n  \"runs\": [\n");
+    for (i, (workers, wall, speedup)) in runs.iter().enumerate() {
+        let comma = if i + 1 < runs.len() { "," } else { "" };
+        let _ = writeln!(
+            timing,
+            "    {{\"workers\": {workers}, \"wall_seconds\": {wall:.3}, \"speedup_vs_1\": {}}}{comma}",
+            speedup_json(*speedup),
+        );
+    }
+    timing.push_str("  ],\n");
     let json = {
         let body = report.to_json();
         // Wrap the harness JSON with the run-level identity fields the
@@ -70,7 +94,7 @@ fn main() {
             .unwrap_or(&body);
         format!(
             "{{\n  \"bench\": \"scenarios\",\n  \"mode\": \"{}\",\n  \"passed\": {},\n  \
-             \"byte_identical\": {byte_identical},\n  \"fingerprint_sha256\": \"{digest}\",\n{inner}}}\n",
+             \"byte_identical\": {byte_identical},\n  \"fingerprint_sha256\": \"{digest}\",\n{timing}{inner}}}\n",
             if smoke { "smoke" } else { "full" },
             report.passed(),
         )

@@ -4,8 +4,10 @@
 //! the same protocol: parse `--smoke`, run the same spec at several pool
 //! worker counts, compare a run fingerprint across the sweep, write the
 //! committed artifact only on a full run, and exit nonzero on
-//! divergence. This module is that protocol, written once — the bins
-//! keep only their spec, their measurements and their JSON shape.
+//! divergence. Each also times every pool size and reports a speedup
+//! only for pool sizes the host's cores can run at once. This module is
+//! that protocol, written once — the bins keep only their spec, their
+//! measurements and their JSON shape.
 
 use std::process::exit;
 
@@ -59,6 +61,24 @@ impl DeterminismSweep {
     }
 }
 
+/// Wall-clock speedup of one run over the sweep's 1-worker run. `None`
+/// when the pool has more workers than the host has `cores`: the extra
+/// threads only timeshare, so such a run shows digest stability and
+/// says nothing about scaling.
+pub fn speedup_vs_1(workers: usize, cores: usize, wall_1: f64, wall: f64) -> Option<f64> {
+    (workers <= cores).then_some(wall_1 / wall)
+}
+
+/// Console form of [`speedup_vs_1`]: `1.95x`, or `n/a (cores < workers)`.
+pub fn speedup_label(speedup: Option<f64>) -> String {
+    speedup.map_or("n/a (cores < workers)".to_string(), |s| format!("{s:.2}x"))
+}
+
+/// JSON form of [`speedup_vs_1`]: `1.95`, or `null`.
+pub fn speedup_json(speedup: Option<f64>) -> String {
+    speedup.map_or("null".to_string(), |s| format!("{s:.2}"))
+}
+
 /// Writes the committed artifact on a full run; smoke mode is a
 /// pass/fail gate and must never clobber the committed file with a
 /// toy-sized snapshot. Exits nonzero when the write fails.
@@ -95,5 +115,17 @@ mod tests {
         assert!(!s.observe("xyz"));
         assert!(!s.byte_identical());
         assert_eq!(s.fingerprint(), "abc");
+    }
+
+    #[test]
+    fn speedup_is_withheld_beyond_the_core_count() {
+        let s = speedup_vs_1(2, 2, 10.0, 5.0);
+        assert_eq!(s, Some(2.0));
+        assert_eq!(speedup_label(s), "2.00x");
+        assert_eq!(speedup_json(s), "2.00");
+        let over = speedup_vs_1(4, 2, 10.0, 5.0);
+        assert_eq!(over, None);
+        assert_eq!(speedup_label(over), "n/a (cores < workers)");
+        assert_eq!(speedup_json(over), "null");
     }
 }

@@ -6,15 +6,17 @@
 //! reference (the legacy `BigUint::modpow`, a rolled SHA-256
 //! compression loop, single-stream hashing, the single-stream ChaCha20
 //! sector path), so the speedup is recorded next to the code that
-//! earned it. Plain `std::time::Instant`, JSON-lines output, no
-//! external crates: it runs in the offline build where criterion
-//! cannot.
+//! earned it. RSA key generation (the TPM's EK and AIK) is timed on its
+//! own, as the mean over a fixed seed set. Plain `std::time::Instant`,
+//! JSON-lines output, no external crates: it runs in the offline build
+//! where criterion cannot.
 
 use std::time::Instant;
 
 use bolted_crypto::chacha20::{chacha20_block, Key, NONCE_LEN};
 use bolted_crypto::{
-    sha256_many, BigUint, Montgomery, RandomSource, SectorCipher, XorShiftSource, SECTOR_SIZE,
+    keypair_from_seed, sha256_many, BigUint, Montgomery, RandomSource, SectorCipher,
+    XorShiftSource, SECTOR_SIZE,
 };
 
 /// How much wall clock to spend: `Full` for recorded figures, `Quick`
@@ -457,6 +459,47 @@ pub fn run(effort: Effort) -> Vec<Record> {
         ns,
         Some(disk.len() as u64),
     );
+
+    // --- RSA key generation, 512- and 1024-bit ------------------------
+    // `pow` runs 4- and 8-limb moduli (the primes and CRT halves of both
+    // sizes) on the fixed-width kernel; cross-check it against the
+    // any-width one before timing anything that rests on it.
+    for limbs in [4usize, 8] {
+        for _ in 0..4 {
+            let mut buf = vec![0u8; 8 * limbs];
+            rng.fill_bytes(&mut buf);
+            buf[0] |= 0x80;
+            buf[8 * limbs - 1] |= 1;
+            let m = BigUint::from_bytes_be(&buf);
+            let ctx = Montgomery::new(&m).expect("odd modulus");
+            let base = random_biguint(8 * limbs + 3, &mut rng);
+            let exp = random_biguint(8 * limbs, &mut rng);
+            assert_eq!(
+                ctx.pow(&base, &exp),
+                ctx.pow_generic(&base, &exp),
+                "fixed-limb pow cross-check ({limbs} limbs)"
+            );
+        }
+    }
+    // No "before" variant: the keygen this replaced is gone from the
+    // tree. One warm-up key, then the mean over seeds 1..=n.
+    for (bits, seeds) in [
+        (512usize, effort.pick(200u32, 8, 2)),
+        (1024, effort.pick(40, 2, 1)),
+    ] {
+        std::hint::black_box(keypair_from_seed(bits, 0));
+        let t0 = Instant::now();
+        for seed in 1..=seeds {
+            std::hint::black_box(keypair_from_seed(bits, u64::from(seed)));
+        }
+        records.push(Record {
+            bench: format!("rsa_keygen_{bits}"),
+            variant: "sieved".into(),
+            iters: seeds,
+            ns_per_op: t0.elapsed().as_nanos() as f64 / f64::from(seeds),
+            bytes_per_op: None,
+        });
+    }
 
     records
 }

@@ -54,10 +54,13 @@ fn quick_run_reports_kernel_speedups() {
 #[test]
 fn smoke_effort_runs_every_bench() {
     // The verify gate runs this tier: it must stay cheap but still
-    // produce both variants of every bench.
+    // produce both variants of every paired bench and both keygen rows.
     let records = hotpath::run(Effort::Smoke);
     let benches: std::collections::BTreeSet<_> = records.iter().map(|r| r.bench.as_str()).collect();
-    assert_eq!(benches.len(), 5, "all five benches present: {benches:?}");
+    assert_eq!(benches.len(), 7, "all seven benches present: {benches:?}");
+    for keygen in ["rsa_keygen_512", "rsa_keygen_1024"] {
+        assert!(benches.contains(keygen), "{keygen} missing");
+    }
     for r in &records {
         assert!(r.ns_per_op > 0.0, "{}:{} timed nothing", r.bench, r.variant);
     }

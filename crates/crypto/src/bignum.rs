@@ -388,6 +388,23 @@ impl BigUint {
         }
     }
 
+    /// `self mod m` for a word-sized modulus, with no allocation: one
+    /// `u64` remainder per 32-bit limb, top limb first (the running
+    /// remainder is below `m`, so `r·2^32 + limb` always fits a `u64`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is zero.
+    pub(crate) fn rem_u32(&self, m: u32) -> u32 {
+        let m = u64::from(m);
+        let r = self
+            .limbs
+            .iter()
+            .rev()
+            .fold(0u64, |r, &limb| ((r << 32) | u64::from(limb)) % m);
+        r as u32
+    }
+
     /// Little-endian `u64` limbs padded with zeros to exactly `k` entries.
     ///
     /// # Panics
@@ -726,6 +743,17 @@ mod tests {
         let m = n(97);
         for (a, b) in [(0u64, 5u64), (13, 17), (96, 96), (1 << 40, 3)] {
             assert_eq!(n(a).mul_mod(&n(b), &m), n(a).mul(&n(b)).divrem(&m).1);
+        }
+    }
+
+    #[test]
+    fn rem_u32_matches_rem() {
+        let big = BigUint::from_bytes_be(&[0xFF; 40]);
+        for m in [1u32, 2, 3, 97, 17_881, u32::MAX] {
+            for v in [BigUint::zero(), n(1), n(u64::MAX), big.clone()] {
+                let want = v.rem(&n(u64::from(m)));
+                assert_eq!(n(u64::from(v.rem_u32(m))), want, "{v:?} mod {m}");
+            }
         }
     }
 

@@ -15,6 +15,14 @@
 //! fewer multiplies at RSA sizes, 3 bits gives up ~8%. Exponents of 64
 //! bits or fewer — the public exponent 65537 above all — skip the table
 //! and use plain square-and-multiply, which is cheaper below ~15 set bits.
+//!
+//! One exponentiation ladder runs on two kernels. The any-width kernel
+//! keeps limbs in `Vec`s and squares with a dedicated pass. At 4 and 8
+//! limbs (the primes and CRT halves of 512- and 1024-bit keys, and
+//! 512-bit moduli) a const-generic `[u64; K]` kernel takes over: the
+//! compiler unrolls its multiply fully, which then beats the dedicated
+//! squaring pass, so it squares by multiplying. Miller–Rabin rounds run
+//! on the same kernels and stay in Montgomery form throughout.
 
 use crate::bignum::BigUint;
 
@@ -31,8 +39,6 @@ pub struct Montgomery {
     n0inv: u64,
     /// `R^2 mod n` in limb form, for converting into Montgomery domain.
     r2: Vec<u64>,
-    /// `R mod n` in limb form: the Montgomery representation of 1.
-    one: Vec<u64>,
     /// Limb count.
     k: usize,
 }
@@ -57,14 +63,7 @@ impl Montgomery {
         // R^2 mod n via one divrem at setup; every later reduction is
         // division-free.
         let r2 = BigUint::one().shl(2 * 64 * k).rem(m).to_u64_limbs(k);
-        let one = BigUint::one().shl(64 * k).rem(m).to_u64_limbs(k);
-        Some(Montgomery {
-            n,
-            n0inv,
-            r2,
-            one,
-            k,
-        })
+        Some(Montgomery { n, n0inv, r2, k })
     }
 
     /// The limb count of the modulus.
@@ -72,17 +71,8 @@ impl Montgomery {
         self.k
     }
 
-    /// CIOS Montgomery multiplication: returns `a * b * R^{-1} mod n`.
-    ///
-    /// Inputs must be `k`-limb values below `n`.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let mut t = vec![0u64; self.k + 2];
-        let mut out = vec![0u64; self.k];
-        self.mont_mul_into(a, b, &mut t, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Self::mont_mul`]: `t` is a `k + 2`-limb scratch
+    /// CIOS Montgomery multiplication `a * b * R^{-1} mod n` of `k`-limb
+    /// values below `n`, allocation-free: `t` is a `k + 2`-limb scratch
     /// buffer, the product lands in `out`. Exponentiation calls this in
     /// its inner loop so a 2048-bit `pow` does zero heap allocation past
     /// setup.
@@ -237,24 +227,22 @@ impl Montgomery {
         out.copy_from_slice(&t[k..]);
     }
 
-    /// Converts `x` into the Montgomery domain (`x * R mod n`).
-    fn to_mont(&self, x: &BigUint) -> Vec<u64> {
-        // Fast path: `x` already fits k limbs and is below n — no
-        // division, no BigUint round trip.
+    /// `x mod n` as `k` limbs. Division only when `x ≥ n`; values that
+    /// already fit below `n` skip the `BigUint` round trip.
+    fn reduce(&self, x: &BigUint) -> Vec<u64> {
         if x.bits() <= 64 * self.k {
             let limbs = x.to_u64_limbs(self.k);
             if less_than(&limbs, &self.n) {
-                return self.mont_mul(&limbs, &self.r2);
+                return limbs;
             }
         }
-        let reduced = x.rem(&self.modulus());
-        self.mont_mul(&reduced.to_u64_limbs(self.k), &self.r2)
+        x.rem(&self.modulus()).to_u64_limbs(self.k)
     }
 
     /// Converts out of the Montgomery domain (`a * R^{-1} mod n`).
     ///
     /// Pure REDC — k reduction rounds, no multiplicand — so it costs
-    /// half a [`Self::mont_mul`].
+    /// half a [`Self::mont_mul_into`].
     #[allow(clippy::wrong_self_convention)]
     fn from_mont(&self, a: &[u64]) -> BigUint {
         let k = self.k;
@@ -289,76 +277,270 @@ impl Montgomery {
     }
 
     /// Fixed 4-bit-window exponentiation: `base^exp mod n`.
+    ///
+    /// 4- and 8-limb moduli (256- and 512-bit: RSA primes, CRT halves
+    /// and 512-bit moduli) run on a fixed-width `[u64; K]` kernel;
+    /// every other width on [`Self::pow_generic`].
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one().rem(&self.modulus());
         }
-        let base_m = self.to_mont(base);
-        let nbits = exp.bits();
-        // Ping-pong buffers: every multiply below writes `tmp` and swaps,
-        // so the whole exponentiation allocates nothing past this point.
-        let mut scratch = vec![0u64; 2 * self.k + 2];
-        let mut tmp = vec![0u64; self.k];
-        // Short exponents (the RSA public exponent 65537 above all) don't
-        // amortize the 14-multiply window table; plain left-to-right
-        // square-and-multiply needs only popcount(exp)-1 extra multiplies.
-        if nbits <= 64 {
-            let mut acc = base_m.clone();
-            for i in (0..nbits - 1).rev() {
-                self.mont_sqr_into(&acc, &mut scratch, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-                if exp.bit(i) {
-                    self.mont_mul_into(&acc, &base_m, &mut scratch, &mut tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-            }
-            return self.from_mont(&acc);
+        match self.k {
+            4 => pow(&mut Fixed::<4>::new(self), base, exp),
+            8 => pow(&mut Fixed::<8>::new(self), base, exp),
+            _ => self.pow_generic(base, exp),
         }
-        // table[d] = base^d in Montgomery form; table[0] is 1 (i.e. R mod n),
-        // so the window multiply below is unconditional.
-        let mut table = Vec::with_capacity(16);
-        table.push(self.one.clone());
-        table.push(base_m.clone());
-        for d in 2..16 {
-            table.push(self.mont_mul(&table[d - 1], &base_m));
-        }
-        let windows = nbits.div_ceil(4);
-        let mut acc: Option<Vec<u64>> = None;
-        for w in (0..windows).rev() {
-            let mut digit = 0usize;
-            for b in 0..4 {
-                let i = w * 4 + b;
-                if i < nbits && exp.bit(i) {
-                    digit |= 1 << b;
-                }
-            }
-            acc = Some(match acc {
-                None => table[digit].clone(),
-                Some(mut a) => {
-                    for _ in 0..4 {
-                        self.mont_sqr_into(&a, &mut scratch, &mut tmp);
-                        std::mem::swap(&mut a, &mut tmp);
-                    }
-                    self.mont_mul_into(&a, &table[digit], &mut scratch, &mut tmp);
-                    std::mem::swap(&mut a, &mut tmp);
-                    a
-                }
-            });
-        }
-        self.from_mont(&acc.expect("nonzero exponent has at least one window"))
     }
 
-    /// Montgomery-accelerated modular multiply: `a * b mod n`.
-    ///
-    /// Worth it only when the context already exists — the two domain
-    /// conversions cost two extra `mont_mul`s.
-    pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        // (aR)(bR)R^{-1} = abR; one more reduction strips the final R.
-        let prod = self.mont_mul(&am, &bm);
-        self.from_mont(&prod)
+    /// [`Self::pow`] on the any-width kernel, whatever the limb count.
+    /// Public so tests and the `hotpath` bench can cross-check the two
+    /// kernels against each other.
+    pub fn pow_generic(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        if exp.is_zero() {
+            return BigUint::one().rem(&self.modulus());
+        }
+        pow(&mut Wide::new(self), base, exp)
     }
+
+    /// One Miller–Rabin round: true if the modulus `n` is a strong
+    /// probable prime to base `a`, where the caller has split
+    /// `n − 1 = d·2^r` (`d` odd) once for all its bases. Requires
+    /// `1 < a < n − 1`.
+    pub(crate) fn is_sprp(&self, a: &BigUint, d: &BigUint, r: usize) -> bool {
+        match self.k {
+            4 => sprp(&mut Fixed::<4>::new(self), a, d, r),
+            8 => sprp(&mut Fixed::<8>::new(self), a, d, r),
+            _ => sprp(&mut Wide::new(self), a, d, r),
+        }
+    }
+}
+
+/// A Montgomery multiplier over one modulus. The exponentiation and
+/// Miller–Rabin ladders ([`pow_mont`], [`sprp`]) are written once
+/// against it and run on either kernel.
+trait Kernel {
+    /// A residue in Montgomery form.
+    type Elem: Clone + PartialEq;
+    /// `x·R mod n`, for any `x`.
+    fn to_mont(&mut self, x: &BigUint) -> Self::Elem;
+    /// `a·R⁻¹ mod n`.
+    #[allow(clippy::wrong_self_convention)]
+    fn from_mont(&mut self, a: &Self::Elem) -> BigUint;
+    /// `out = a·b·R⁻¹ mod n`.
+    fn mul(&mut self, a: &Self::Elem, b: &Self::Elem, out: &mut Self::Elem);
+    /// `out = a²·R⁻¹ mod n`.
+    fn sqr(&mut self, a: &Self::Elem, out: &mut Self::Elem);
+}
+
+/// The any-width kernel: `Vec` limbs, fused CIOS multiply and SOS
+/// squaring, one scratch buffer reused by every operation.
+struct Wide<'a> {
+    ctx: &'a Montgomery,
+    scratch: Vec<u64>,
+}
+
+impl<'a> Wide<'a> {
+    fn new(ctx: &'a Montgomery) -> Self {
+        Wide {
+            ctx,
+            scratch: vec![0u64; 2 * ctx.k + 2],
+        }
+    }
+}
+
+impl Kernel for Wide<'_> {
+    type Elem = Vec<u64>;
+
+    fn to_mont(&mut self, x: &BigUint) -> Vec<u64> {
+        let mut out = vec![0u64; self.ctx.k];
+        let x = self.ctx.reduce(x);
+        self.ctx
+            .mont_mul_into(&x, &self.ctx.r2, &mut self.scratch, &mut out);
+        out
+    }
+
+    fn from_mont(&mut self, a: &Vec<u64>) -> BigUint {
+        self.ctx.from_mont(a)
+    }
+
+    fn mul(&mut self, a: &Vec<u64>, b: &Vec<u64>, out: &mut Vec<u64>) {
+        self.ctx.mont_mul_into(a, b, &mut self.scratch, out);
+    }
+
+    fn sqr(&mut self, a: &Vec<u64>, out: &mut Vec<u64>) {
+        self.ctx.mont_sqr_into(a, &mut self.scratch, out);
+    }
+}
+
+/// The fixed-width kernel: `[u64; K]` limbs on the stack and a fused
+/// CIOS multiply the compiler fully unrolls. At 4 and 8 limbs the
+/// unrolled multiply beats the wide kernel's SOS squaring, so it squares
+/// by multiplying too.
+struct Fixed<'a, const K: usize> {
+    ctx: &'a Montgomery,
+    n: [u64; K],
+    n0inv: u64,
+    r2: [u64; K],
+}
+
+impl<'a, const K: usize> Fixed<'a, K> {
+    /// Copies a `K`-limb context into arrays.
+    fn new(ctx: &'a Montgomery) -> Self {
+        debug_assert_eq!(ctx.k, K);
+        Fixed {
+            ctx,
+            n: std::array::from_fn(|i| ctx.n[i]),
+            n0inv: ctx.n0inv,
+            r2: std::array::from_fn(|i| ctx.r2[i]),
+        }
+    }
+
+    /// CIOS Montgomery multiplication `a·b·R⁻¹ mod n`, with the same
+    /// fused multiply-and-reduce inner loop as
+    /// [`Montgomery::mont_mul_into`]. Inputs must be below `n`.
+    #[inline(always)]
+    fn mont_mul(&self, a: &[u64; K], b: &[u64; K]) -> [u64; K] {
+        let n = &self.n;
+        // The running sum is t + hi·2^{64K}; it stays below 2n, so `hi`
+        // is 0 or 1 (1 only when n has its top bit set).
+        let mut t = [0u64; K];
+        let mut hi = 0u64;
+        for &ai in a {
+            let s = u128::from(t[0]) + u128::from(ai) * u128::from(b[0]);
+            let m = (s as u64).wrapping_mul(self.n0inv);
+            let s2 = u128::from(s as u64) + u128::from(m) * u128::from(n[0]);
+            debug_assert_eq!(s2 as u64, 0);
+            let mut carry_a = s >> 64;
+            let mut carry_m = s2 >> 64;
+            for j in 1..K {
+                let s = u128::from(t[j]) + u128::from(ai) * u128::from(b[j]) + carry_a;
+                carry_a = s >> 64;
+                let s2 = u128::from(s as u64) + u128::from(m) * u128::from(n[j]) + carry_m;
+                carry_m = s2 >> 64;
+                t[j - 1] = s2 as u64;
+            }
+            let s = u128::from(hi) + carry_a + carry_m;
+            t[K - 1] = s as u64;
+            hi = (s >> 64) as u64;
+        }
+        // One conditional subtract; when `hi` is set its borrow out
+        // cancels it.
+        if hi != 0 || !less_than(&t, n) {
+            let mut borrow = 0u64;
+            for (tj, &nj) in t.iter_mut().zip(n) {
+                let (d1, o1) = tj.overflowing_sub(nj);
+                let (d2, o2) = d1.overflowing_sub(borrow);
+                *tj = d2;
+                borrow = u64::from(o1) + u64::from(o2);
+            }
+            debug_assert_eq!(borrow, hi);
+        }
+        t
+    }
+}
+
+impl<const K: usize> Kernel for Fixed<'_, K> {
+    type Elem = [u64; K];
+
+    fn to_mont(&mut self, x: &BigUint) -> [u64; K] {
+        let x = self.ctx.reduce(x);
+        self.mont_mul(&std::array::from_fn(|i| x[i]), &self.r2)
+    }
+
+    fn from_mont(&mut self, a: &[u64; K]) -> BigUint {
+        let mut unit = [0u64; K];
+        unit[0] = 1;
+        BigUint::from_u64_limbs(&self.mont_mul(a, &unit))
+    }
+
+    #[inline(always)]
+    fn mul(&mut self, a: &[u64; K], b: &[u64; K], out: &mut [u64; K]) {
+        *out = self.mont_mul(a, b);
+    }
+
+    #[inline(always)]
+    fn sqr(&mut self, a: &[u64; K], out: &mut [u64; K]) {
+        *out = self.mont_mul(a, a);
+    }
+}
+
+/// `base^exp mod n` on kernel `kn`; `exp` must be nonzero.
+fn pow<Kn: Kernel>(kn: &mut Kn, base: &BigUint, exp: &BigUint) -> BigUint {
+    let base_m = kn.to_mont(base);
+    let x = pow_mont(kn, &base_m, exp);
+    kn.from_mont(&x)
+}
+
+/// `base^exp` in Montgomery form; `exp` must be nonzero. Every multiply
+/// writes `tmp` and swaps, so the ladder allocates nothing past the
+/// window table.
+fn pow_mont<Kn: Kernel>(kn: &mut Kn, base: &Kn::Elem, exp: &BigUint) -> Kn::Elem {
+    let nbits = exp.bits();
+    debug_assert!(nbits > 0);
+    let mut tmp = base.clone();
+    // Short exponents (the RSA public exponent 65537 above all) don't
+    // amortize the 14-multiply window table; plain left-to-right
+    // square-and-multiply needs only popcount(exp)-1 extra multiplies.
+    if nbits <= 64 {
+        let mut acc = base.clone();
+        for i in (0..nbits - 1).rev() {
+            kn.sqr(&acc, &mut tmp);
+            std::mem::swap(&mut acc, &mut tmp);
+            if exp.bit(i) {
+                kn.mul(&acc, base, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+        }
+        return acc;
+    }
+    // table[d] = base^d in Montgomery form; table[0] is 1 (i.e. R mod n),
+    // so the window multiply below is unconditional.
+    let mut table = Vec::with_capacity(16);
+    table.push(kn.to_mont(&BigUint::one()));
+    table.push(base.clone());
+    for d in 2..16 {
+        kn.mul(&table[d - 1], base, &mut tmp);
+        table.push(tmp.clone());
+    }
+    let digit = |w: usize| {
+        (0..4).fold(0usize, |digit, b| {
+            let i = w * 4 + b;
+            digit | (usize::from(i < nbits && exp.bit(i)) << b)
+        })
+    };
+    let windows = nbits.div_ceil(4);
+    let mut acc = table[digit(windows - 1)].clone();
+    for w in (0..windows - 1).rev() {
+        for _ in 0..4 {
+            kn.sqr(&acc, &mut tmp);
+            std::mem::swap(&mut acc, &mut tmp);
+        }
+        kn.mul(&acc, &table[digit(w)], &mut tmp);
+        std::mem::swap(&mut acc, &mut tmp);
+    }
+    acc
+}
+
+/// The Miller–Rabin round behind [`Montgomery::is_sprp`]. `x` stays in
+/// Montgomery form from the exponentiation through every squaring; only
+/// the comparisons against ±1 need their Montgomery forms.
+fn sprp<Kn: Kernel>(kn: &mut Kn, a: &BigUint, d: &BigUint, r: usize) -> bool {
+    let one = kn.to_mont(&BigUint::one());
+    let minus_one = kn.to_mont(&d.shl(r)); // d·2^r = n − 1
+    let a_m = kn.to_mont(a);
+    let mut x = pow_mont(kn, &a_m, d);
+    if x == one || x == minus_one {
+        return true;
+    }
+    let mut tmp = x.clone();
+    for _ in 1..r {
+        kn.sqr(&x, &mut tmp);
+        std::mem::swap(&mut x, &mut tmp);
+        if x == minus_one {
+            return true;
+        }
+    }
+    false
 }
 
 /// `a < b` over equal-length little-endian limb slices.
@@ -482,16 +664,73 @@ mod tests {
         assert_eq!(base.modpow_montgomery(&d, &m), base.modpow(&d, &m));
     }
 
+    /// A random odd modulus of exactly `limbs` 64-bit limbs.
+    fn random_limb_modulus(limbs: usize, rng: &mut XorShiftSource) -> BigUint {
+        random_odd_modulus(64 * limbs - (rng.next_u64() % 60) as usize, rng)
+    }
+
     #[test]
-    fn mul_mod_matches_legacy() {
-        let mut rng = XorShiftSource::new(0x3141);
-        let m = random_odd_modulus(192, &mut rng);
-        let ctx = Montgomery::new(&m).unwrap();
-        for _ in 0..32 {
-            let a = random_biguint(30, &mut rng);
-            let b = random_biguint(30, &mut rng);
-            assert_eq!(ctx.mul_mod(&a, &b), a.mul_mod(&b, &m));
+    fn fixed_kernel_matches_modpow_on_4_and_8_limbs() {
+        let mut rng = XorShiftSource::new(0xF1D);
+        for limbs in [4usize, 8] {
+            // Top limb all ones: the running sum overflows into the
+            // carry-out limb before the final subtract.
+            let top_ones = BigUint::one().shl(64 * limbs).sub(&n(189));
+            let mut moduli = vec![top_ones];
+            moduli.extend((0..40).map(|_| random_limb_modulus(limbs, &mut rng)));
+            for m in &moduli {
+                let ctx = Montgomery::new(m).unwrap();
+                assert_eq!(ctx.limbs(), limbs);
+                let exp_65 = BigUint::one().shl(64).add(&random_biguint(8, &mut rng));
+                let bases = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    m.add(&random_biguint(4, &mut rng)),
+                    random_biguint(8 * limbs, &mut rng),
+                ];
+                let exps = [BigUint::one(), exp_65, random_biguint(8 * limbs, &mut rng)];
+                for base in &bases {
+                    for exp in &exps {
+                        let want = base.modpow(exp, m);
+                        assert_eq!(ctx.pow(base, exp), want, "limbs={limbs}");
+                        assert_eq!(ctx.pow_generic(base, exp), want, "limbs={limbs}");
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn sprp_agrees_across_kernels() {
+        // Odd candidates, prime and composite: the fixed and wide
+        // kernels give the same Miller–Rabin verdict for every base.
+        let mut rng = XorShiftSource::new(0x5B2);
+        let prime_256 = BigUint::one().shl(255).add(&n(95)); // 2^255 + 95
+        let mut candidates = vec![prime_256];
+        candidates.extend((0..30).map(|_| random_limb_modulus(4, &mut rng)));
+        candidates.extend((0..10).map(|_| random_limb_modulus(8, &mut rng)));
+        let mut primes_seen = 0;
+        for c in &candidates {
+            let ctx = Montgomery::new(c).unwrap();
+            let mut d = c.sub(&BigUint::one());
+            let mut r = 0;
+            while !d.is_odd() {
+                d = d.shr(1);
+                r += 1;
+            }
+            for a in [2u64, 3, 0xDEAD_BEEF] {
+                let a = n(a);
+                let wide = sprp(&mut Wide::new(&ctx), &a, &d, r);
+                let fixed = match ctx.limbs() {
+                    4 => sprp(&mut Fixed::<4>::new(&ctx), &a, &d, r),
+                    _ => sprp(&mut Fixed::<8>::new(&ctx), &a, &d, r),
+                };
+                assert_eq!(wide, fixed, "{c:?} base {a:?}");
+                assert_eq!(ctx.is_sprp(&a, &d, r), wide);
+                primes_seen += usize::from(wide);
+            }
+        }
+        assert!(primes_seen >= 3, "2^255 + 95 passes every base");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! This backs the TPM's Endorsement Key (EK) and Attestation Identity Key
 //! (AIK): quotes are RSA signatures over a PCR composite and nonce, and
 //! the registrar's credential-activation challenge is RSA-encrypted to
-//! the EK. Key sizes are configurable; the simulation defaults to 1024-bit
-//! keys (and tests often use 512) to keep runs fast — the protocol logic
-//! is identical at 2048.
+//! the EK. Key sizes are configurable; the simulation defaults to 512-bit
+//! keys (`CloudConfig::tpm_key_bits`) to keep runs fast — the protocol
+//! logic is identical at 2048.
 
 use std::sync::{Arc, OnceLock};
 
@@ -126,9 +126,9 @@ pub fn generate_keypair(bits: usize, rng: &mut dyn RandomSource) -> KeyPair {
             continue;
         }
         let n = p.mul(&q);
-        if n.bits() != bits {
-            continue;
-        }
+        // Both primes have their top two bits set, so the product always
+        // has exactly `bits` bits: one draw of (p, q) per key.
+        debug_assert_eq!(n.bits(), bits);
         let one = BigUint::one();
         let phi = p.sub(&one).mul(&q.sub(&one));
         let Some(d) = e.modinv(&phi) else {
@@ -419,6 +419,16 @@ mod tests {
         assert_eq!(a.public, b.public);
         let c = keypair_from_seed(512, 2);
         assert_ne!(a.public, c.public);
+    }
+
+    #[test]
+    fn modulus_has_exact_bits_for_200_seeds() {
+        // Primes with their top two bits set multiply to exactly `bits`
+        // bits, so no (p, q) draw is ever thrown away for its length.
+        for seed in 0..200u64 {
+            let kp = keypair_from_seed(512, seed);
+            assert_eq!(kp.public.n.bits(), 512, "seed={seed}");
+        }
     }
 
     #[test]

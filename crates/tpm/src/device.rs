@@ -187,8 +187,8 @@ pub struct Tpm {
 
 impl Tpm {
     /// Manufactures a TPM with a deterministic EK derived from `seed`.
-    /// `key_bits` controls RSA size (1024 for simulation speed; the
-    /// protocol is identical at 2048).
+    /// `key_bits` controls RSA size (`CloudConfig::tpm_key_bits`, 512 by
+    /// default, for simulation speed; the protocol is identical at 2048).
     pub fn new(seed: u64, key_bits: usize) -> Self {
         Tpm {
             ek: keypair_from_seed(key_bits, seed),
