@@ -1095,53 +1095,73 @@ impl Tenant {
         if cx.profile.net_encryption {
             sim.sleep(calib.ipsec_setup).await;
         }
-        // Boot is sequential: read a unit from the root disk, run init
-        // work, repeat — so I/O and CPU do not overlap, and a slower
-        // (IPsec) disk directly lengthens kernel boot, as the paper
-        // observes ("the major cost is ... the slower disk that is
-        // accessed over IPsec").
-        {
-            let phase = self.env.call.open_phase("tenant", "iscsi-attach", &cx.name);
-            let total = calib.boot_touched_bytes;
-            let req = calib.boot_io_request;
-            let mut off = 0u64;
-            while off < total {
-                let len = req.min(total - off);
-                let read = {
-                    let target = target.clone();
-                    move || {
-                        let target = target.clone();
-                        async move {
-                            match target.read_timed(off, len).await {
-                                // Only injected transient faults retry;
-                                // other read outcomes were (and are)
-                                // ignored by the boot loop.
-                                Err(ImageError::Transient) => Err(ImageError::Transient),
-                                _ => Ok(()),
-                            }
-                        }
-                    }
-                };
-                self.retry_or_abandon(
-                    "storage.read",
-                    &mut cx.retry_rng,
-                    cx.node,
-                    &cx.name,
-                    &mut cx.lc,
-                    Some(image),
-                    read,
-                    |e| matches!(e, ImageError::Transient),
-                )
-                .await?;
-                off += len;
-            }
-            self.env
-                .call
-                .close_phase(phase, "provision_phase_seconds", "iscsi-attach");
-        }
+        let phase = self.env.call.open_phase("tenant", "iscsi-attach", &cx.name);
+        self.boot_reads(
+            &target,
+            &cx.name,
+            &mut cx.retry_rng,
+            Some((cx.node, &mut cx.lc, image)),
+        )
+        .await?;
+        self.env
+            .call
+            .close_phase(phase, "provision_phase_seconds", "iscsi-attach");
         sim.sleep(calib.kernel_boot_cpu).await;
         cx.timer.mark("kernel-boot");
         cx.target = Some(target);
+        Ok(())
+    }
+
+    /// Streams the boot disk: `boot_touched_bytes` in `boot_io_request`
+    /// reads, each under the retry envelope (`name` is the retry target).
+    /// Boot is sequential: read a unit from the root disk, run init work,
+    /// repeat — so I/O and CPU do not overlap, and a slower (IPsec) disk
+    /// directly lengthens kernel boot, as the paper observes ("the major
+    /// cost is ... the slower disk that is accessed over IPsec"). With
+    /// `abandon`, an exhausted read also returns the node (and its
+    /// volume) to the free pool.
+    async fn boot_reads(
+        &self,
+        target: &IscsiTarget,
+        name: &str,
+        rng: &mut Rng,
+        mut abandon: Option<(NodeId, &mut Lifecycle, ImageId)>,
+    ) -> Result<(), ProvisionError> {
+        let total = self.env.calib.boot_touched_bytes;
+        let req = self.env.calib.boot_io_request;
+        let transient = |e: &ImageError| matches!(e, ImageError::Transient);
+        let mut off = 0u64;
+        while off < total {
+            let len = req.min(total - off);
+            let read = move || async move {
+                match target.read_timed(off, len).await {
+                    // Only injected transient faults retry; the boot loop
+                    // ignores every other read outcome.
+                    Err(ImageError::Transient) => Err(ImageError::Transient),
+                    _ => Ok(()),
+                }
+            };
+            match &mut abandon {
+                Some((node, lc, image)) => {
+                    self.retry_or_abandon(
+                        "storage.read",
+                        rng,
+                        *node,
+                        name,
+                        lc,
+                        Some(*image),
+                        read,
+                        transient,
+                    )
+                    .await?
+                }
+                None => {
+                    self.retry_infra("storage.read", name, rng, read, transient)
+                        .await?
+                }
+            }
+            off += len;
+        }
         Ok(())
     }
 
@@ -1253,35 +1273,9 @@ impl Tenant {
         if profile.net_encryption {
             sim.sleep(calib.ipsec_setup).await;
         }
-        {
-            let total = calib.boot_touched_bytes;
-            let req = calib.boot_io_request;
-            let mut off = 0u64;
-            while off < total {
-                let len = req.min(total - off);
-                let read = {
-                    let target = pnode.target.clone();
-                    move || {
-                        let target = target.clone();
-                        async move {
-                            match target.read_timed(off, len).await {
-                                Err(ImageError::Transient) => Err(ImageError::Transient),
-                                _ => Ok(()),
-                            }
-                        }
-                    }
-                };
-                self.retry_infra(
-                    "storage.read",
-                    &pnode.report.node,
-                    &mut retry_rng,
-                    read,
-                    |e| matches!(e, ImageError::Transient),
-                )
-                .await?;
-                off += len;
-            }
-        }
+        // No abandon here either: the node stays the caller's.
+        self.boot_reads(&pnode.target, &pnode.report.node, &mut retry_rng, None)
+            .await?;
         sim.sleep(calib.kernel_boot_cpu).await;
         timer.mark("kernel-boot");
         Ok(ProvisionReport {

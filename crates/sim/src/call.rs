@@ -24,11 +24,12 @@
 
 use std::future::Future;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::executor::lock;
 use crate::executor::Sim;
-use crate::fault::{FaultDecision, FaultInjected, Faults};
+use crate::fault::{plan_epoch, FaultDecision, FaultInjected, Faults};
 use crate::metrics::Metrics;
 use crate::retry::{with_timeout, RetryError, RetryPolicy};
 use crate::rng::Rng;
@@ -40,6 +41,17 @@ struct GateInner {
     metrics: Metrics,
 }
 
+struct GateShared {
+    slots: Mutex<GateInner>,
+    /// `plan_epoch << 1 | armed`: whether the installed fault plan had
+    /// rules, as of that plan epoch. [`OpGate::pass`] trusts it with no
+    /// lock while the epoch still matches.
+    armed: AtomicU64,
+    /// Bumped by every [`OpGate::set_metrics`], so callers that cached
+    /// counter handles know to re-resolve them.
+    metrics_epoch: AtomicU64,
+}
+
 /// The service-side half of the instrumented call path: one handle per
 /// gated component, replacing its hand-rolled fault + metrics pair.
 ///
@@ -48,17 +60,21 @@ struct GateInner {
 /// [`OpGate::pass`] — the async latency-injecting gate — takes a [`Sim`].
 #[derive(Clone)]
 pub struct OpGate {
-    inner: Arc<Mutex<GateInner>>,
+    inner: Arc<GateShared>,
 }
 
 impl OpGate {
     /// A gate with nothing installed: counts nowhere, injects nothing.
     pub fn disabled() -> Self {
         OpGate {
-            inner: Arc::new(Mutex::new(GateInner {
-                faults: Faults::disabled(),
-                metrics: Metrics::disabled(),
-            })),
+            inner: Arc::new(GateShared {
+                slots: Mutex::new(GateInner {
+                    faults: Faults::disabled(),
+                    metrics: Metrics::disabled(),
+                }),
+                armed: AtomicU64::new(plan_epoch() << 1),
+                metrics_epoch: AtomicU64::new(0),
+            }),
         }
     }
 
@@ -73,29 +89,57 @@ impl OpGate {
     /// Installs a fault-injection handle; every clone of this gate
     /// (including ones taken before this call) consults it.
     pub fn set_faults(&self, faults: &Faults) {
-        lock(&self.inner).faults = faults.clone();
+        let mut slots = lock(&self.inner.slots);
+        slots.faults = faults.clone();
+        self.refresh_armed(&slots);
     }
 
     /// Attaches a metrics registry; every clone of this gate sees it.
     pub fn set_metrics(&self, metrics: &Metrics) {
-        lock(&self.inner).metrics = metrics.clone();
+        lock(&self.inner.slots).metrics = metrics.clone();
+        self.inner.metrics_epoch.fetch_add(1, Ordering::SeqCst);
     }
 
     /// The installed fault handle (a cheap shared clone).
     pub fn faults(&self) -> Faults {
-        lock(&self.inner).faults.clone()
+        lock(&self.inner.slots).faults.clone()
     }
 
     /// The installed metrics registry (a cheap shared clone).
     pub fn metrics(&self) -> Metrics {
-        lock(&self.inner).metrics.clone()
+        lock(&self.inner.slots).metrics.clone()
+    }
+
+    /// How many times a registry has been installed. A caller that
+    /// caches counter handles resolved from [`OpGate::metrics_at_epoch`]
+    /// re-resolves them when this no longer matches.
+    pub fn metrics_epoch(&self) -> u64 {
+        self.inner.metrics_epoch.load(Ordering::SeqCst)
+    }
+
+    /// The installed registry together with the epoch it belongs to.
+    pub fn metrics_at_epoch(&self) -> (Metrics, u64) {
+        let slots = lock(&self.inner.slots);
+        (slots.metrics.clone(), self.metrics_epoch())
+    }
+
+    /// Re-reads whether the installed plan has rules. The epoch is read
+    /// before the plan, so a concurrent install leaves a stale epoch
+    /// behind and the next [`OpGate::pass`] checks again.
+    fn refresh_armed(&self, slots: &GateInner) -> bool {
+        let epoch = plan_epoch();
+        let armed = slots.faults.enabled();
+        self.inner
+            .armed
+            .store(epoch << 1 | u64::from(armed), Ordering::SeqCst);
+        armed
     }
 
     /// True when counting or injecting would observe anything. Sync call
     /// sites that must build a target string per call check this first so
     /// the disabled path allocates nothing.
     pub fn is_live(&self) -> bool {
-        let inner = lock(&self.inner);
+        let inner = lock(&self.inner.slots);
         inner.faults.enabled() || inner.metrics.is_enabled()
     }
 
@@ -105,7 +149,7 @@ impl OpGate {
     /// stretch virtual time — so only `Fail` is observable.
     pub fn tap(&self, counter: &str, op: &str, target: &str) -> Result<(), FaultInjected> {
         let (faults, metrics) = {
-            let inner = lock(&self.inner);
+            let inner = lock(&self.inner.slots);
             (inner.faults.clone(), inner.metrics.clone())
         };
         metrics.inc(counter, &[("target", target)]);
@@ -121,8 +165,22 @@ impl OpGate {
     /// One attempt of an asynchronous operation: consults the fault
     /// plan, sleeping out injected latency spikes. Counting is left to
     /// the caller — async paths count completed work, not attempts.
+    ///
+    /// With an empty plan this takes no lock and clones no handle: the
+    /// gate trusts its cached emptiness until a plan is installed
+    /// somewhere (the plan epoch moves).
     pub async fn pass(&self, sim: &Sim, op: &str, target: &str) -> Result<(), FaultInjected> {
-        let faults = self.faults();
+        let cached = self.inner.armed.load(Ordering::SeqCst);
+        if cached & 1 == 0 && cached >> 1 == plan_epoch() {
+            return Ok(());
+        }
+        let faults = {
+            let slots = lock(&self.inner.slots);
+            if !self.refresh_armed(&slots) {
+                return Ok(());
+            }
+            slots.faults.clone()
+        };
         faults.gate(sim, op, target).await
     }
 
@@ -215,7 +273,8 @@ impl CallEnv {
     /// `op` is called once per attempt and must return a fresh future
     /// each time. The counter is bumped, and jitter drawn from `rng`,
     /// only when the loop actually goes around again, so a first-try
-    /// success costs no counter row, no RNG draw and no sleep.
+    /// success costs no counter row, no RNG draw, no sleep and no handle
+    /// clone.
     pub async fn call<T, E, F, Fut, P>(
         &self,
         policy: &RetryPolicy,
@@ -230,7 +289,6 @@ impl CallEnv {
         Fut: Future<Output = Result<T, E>>,
         P: Fn(&E) -> bool,
     {
-        let metrics = self.metrics();
         let max = policy.max_attempts.max(1);
         let mut failures = 0u32;
         loop {
@@ -250,7 +308,8 @@ impl CallEnv {
                 None if attempts >= max => return Err(RetryError::TimedOut { attempts }),
                 _ => {}
             }
-            metrics.inc("retry_attempts", &[("op", op_name), ("target", target)]);
+            self.metrics()
+                .inc("retry_attempts", &[("op", op_name), ("target", target)]);
             let mut backoff = policy.backoff_for(failures);
             if policy.jitter_cv > 0.0 {
                 backoff = backoff.mul_f64(rng.jitter(policy.jitter_cv));
@@ -313,6 +372,23 @@ mod tests {
         assert_eq!(err.op, ops::BMC_POWER);
         // The attempt was counted even though it failed.
         assert_eq!(metrics.counter("bmc_power_ops", &[("target", "m1")]), 1);
+    }
+
+    #[test]
+    fn pass_sees_a_plan_installed_after_the_gate_cached_emptiness() {
+        let sim = Sim::new();
+        let faults = Faults::new(FaultPlan::none());
+        let gate = OpGate::with(&faults, &Metrics::disabled());
+        let pass = |gate: &OpGate| {
+            let (sim2, gate) = (sim.clone(), gate.clone());
+            sim.block_on(async move { gate.pass(&sim2, ops::STORAGE_READ, "img").await })
+        };
+        assert!(pass(&gate).is_ok(), "empty plan: the cached fast path");
+        faults.install(FaultPlan::seeded(1).with(ops::STORAGE_READ, FaultSpec::permanent()));
+        assert!(pass(&gate).is_err(), "install moved the plan epoch");
+        faults.install(FaultPlan::none());
+        assert!(pass(&gate).is_ok());
+        assert_eq!(faults.total_injected(), 0, "install resets the tallies");
     }
 
     #[test]

@@ -111,13 +111,20 @@ impl Ord for TimerEntry {
     }
 }
 
+/// A spawned task: its future plus the one waker made for it at spawn,
+/// reused for every poll.
+struct Task {
+    fut: TaskFuture,
+    waker: Waker,
+}
+
 struct SimInner {
     /// Virtual clock, in nanoseconds. Only [`Sim::run`] writes it; tasks
     /// read it freely from any thread.
     now_nanos: AtomicU64,
     next_task_id: AtomicU64,
     next_seq: AtomicU64,
-    tasks: Mutex<HashMap<TaskId, TaskFuture>>,
+    tasks: Mutex<HashMap<TaskId, Task>>,
     timers: Mutex<BinaryHeap<TimerEntry>>,
     ready: Arc<ReadyQueue>,
     events_processed: AtomicU64,
@@ -187,7 +194,15 @@ impl Sim {
             }
         };
         let id = self.inner.next_task_id.fetch_add(1, AtomicOrdering::SeqCst);
-        lock(&self.inner.tasks).insert(id, Box::pin(wrapped));
+        let waker = Waker::from(Arc::new(TaskWaker {
+            ready: Arc::clone(&self.inner.ready),
+            id,
+        }));
+        let task = Task {
+            fut: Box::pin(wrapped),
+            waker,
+        };
+        lock(&self.inner.tasks).insert(id, task);
         self.inner.ready.push(id);
         JoinHandle { state }
     }
@@ -225,23 +240,19 @@ impl Sim {
             // from the table before polling so no lock is held across the
             // poll (tasks may spawn, register timers, or wake others).
             while let Some(id) = self.inner.ready.pop() {
-                let fut = lock(&self.inner.tasks).remove(&id);
-                let Some(mut fut) = fut else {
+                let task = lock(&self.inner.tasks).remove(&id);
+                let Some(mut task) = task else {
                     // Task already completed; stale wake.
                     continue;
                 };
                 self.inner
                     .events_processed
                     .fetch_add(1, AtomicOrdering::Relaxed);
-                let waker = Waker::from(Arc::new(TaskWaker {
-                    ready: Arc::clone(&self.inner.ready),
-                    id,
-                }));
-                let mut cx = Context::from_waker(&waker);
-                match fut.as_mut().poll(&mut cx) {
+                let mut cx = Context::from_waker(&task.waker);
+                match task.fut.as_mut().poll(&mut cx) {
                     Poll::Ready(()) => {}
                     Poll::Pending => {
-                        lock(&self.inner.tasks).insert(id, fut);
+                        lock(&self.inner.tasks).insert(id, task);
                     }
                 }
             }

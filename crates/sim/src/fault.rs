@@ -26,6 +26,7 @@
 
 use std::collections::HashMap;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::executor::lock;
@@ -222,6 +223,16 @@ pub fn mix_seed(base: u64, parts: &[&str]) -> u64 {
     SplitMix64::new(base ^ h).next_u64()
 }
 
+/// Bumped by every [`Faults::install`], the only way a plan changes
+/// after [`Faults::new`]. A gate that cached whether its plan is empty
+/// re-checks when this moves (see [`crate::OpGate::pass`]).
+static PLAN_EPOCH: AtomicU64 = AtomicU64::new(0);
+
+/// The current plan epoch (see [`PLAN_EPOCH`]).
+pub(crate) fn plan_epoch() -> u64 {
+    PLAN_EPOCH.load(Ordering::SeqCst)
+}
+
 #[derive(Default)]
 struct FaultsInner {
     plan: FaultPlan,
@@ -262,13 +273,16 @@ impl Faults {
     /// per-key streams, attempt counters and injection tallies. An
     /// attached metrics registry survives the reset.
     pub fn install(&self, plan: FaultPlan) {
-        let mut inner = lock(&self.inner);
-        let metrics = inner.metrics.clone();
-        *inner = FaultsInner {
-            plan,
-            metrics,
-            ..FaultsInner::default()
-        };
+        {
+            let mut inner = lock(&self.inner);
+            let metrics = inner.metrics.clone();
+            *inner = FaultsInner {
+                plan,
+                metrics,
+                ..FaultsInner::default()
+            };
+        }
+        PLAN_EPOCH.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Attaches a metrics registry: every injected failure is counted as

@@ -31,7 +31,7 @@ mod time;
 pub use call::{CallEnv, OpGate, PhaseHandle};
 pub use executor::{join_all, lock, JoinHandle, Sim, Sleep};
 pub use fault::{FaultDecision, FaultInjected, FaultPlan, FaultSpec, Faults};
-pub use metrics::{Histogram, Metrics, MetricsSnapshot};
+pub use metrics::{Counter, Histogram, Metrics, MetricsSnapshot};
 pub use pool::{max_workers, run_jobs};
 pub use queue::{BoundedQueue, QueueStats, TokenBucket};
 pub use retry::{RetryError, RetryPolicy};

@@ -4,9 +4,16 @@
 //! Every series is keyed by `(name, labels)` where labels are a small
 //! `&[(key, value)]` slice canonicalised to `k=v,k=v` (in the order the
 //! instrumentation passes them — call sites use a fixed order, so equal
-//! label sets always canonicalise equally). Storage is `BTreeMap`, so
-//! iteration, [`Metrics::snapshot`], and the JSON export are fully
-//! deterministic: two runs under the same seed serialise byte-identically.
+//! label sets always canonicalise equally). Series are stored as
+//! name → labels → cell, and the labels are canonicalised into one
+//! reused scratch buffer, so an update that hits an existing series
+//! allocates nothing. [`Metrics::snapshot`] and the JSON export order
+//! series by their rendered `name{labels}` key, so two runs under the
+//! same seed serialise byte-identically.
+//!
+//! Counter cells are shared atomics: [`Metrics::counter_handle`]
+//! resolves a series once and returns a [`Counter`] that a hot caller
+//! bumps with no lock and no lookup.
 //!
 //! Histograms combine fixed bucket bounds (cumulative-style counts:
 //! bucket `i` counts observations `<= bounds[i]`, with one overflow
@@ -19,6 +26,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::executor::lock;
@@ -29,15 +37,17 @@ use crate::time::SimDuration;
 /// scales from milliseconds to minutes.
 pub const DEFAULT_BUCKETS: &[f64] = &[0.01, 0.1, 0.5, 1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0];
 
-fn canon(labels: &[(&str, &str)]) -> String {
-    let mut s = String::new();
+/// Writes the canonical `k=v,k=v` form of `labels` into `out`.
+fn canon_into(out: &mut String, labels: &[(&str, &str)]) {
+    out.clear();
     for (i, (k, v)) in labels.iter().enumerate() {
         if i > 0 {
-            s.push(',');
+            out.push(',');
         }
-        let _ = write!(s, "{k}={v}");
+        out.push_str(k);
+        out.push('=');
+        out.push_str(v);
     }
-    s
 }
 
 /// One fixed-bucket histogram series.
@@ -72,26 +82,84 @@ impl Histogram {
     }
 }
 
+/// A resolved counter series: bumping it takes no lock and does no
+/// lookup. Handles from a disabled registry are detached and drop every
+/// update.
+#[derive(Clone, Default)]
+pub struct Counter(Option<Arc<AtomicU64>>);
+
+impl Counter {
+    /// Adds `delta` to the series.
+    pub fn add(&self, delta: u64) {
+        if let Some(cell) = &self.0 {
+            cell.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
+
+    /// Increments the series by one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// The series' current value (0 for a detached handle).
+    pub fn get(&self) -> u64 {
+        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+    }
+}
+
+/// name → canonical labels → cell.
+type Series<V> = BTreeMap<String, BTreeMap<String, V>>;
+
+/// Applies `f` to the cell `name{labels}`, creating it with `make` on
+/// first use. Only a miss allocates (the two owned keys).
+fn with_cell<V, R>(
+    map: &mut Series<V>,
+    name: &str,
+    labels: &str,
+    make: impl FnOnce() -> V,
+    f: impl FnOnce(&mut V) -> R,
+) -> R {
+    if let Some(cell) = map.get_mut(name).and_then(|by| by.get_mut(labels)) {
+        return f(cell);
+    }
+    let by_labels = map.entry(name.to_string()).or_default();
+    f(by_labels.entry(labels.to_string()).or_insert_with(make))
+}
+
+fn get_cell<'m, V>(map: &'m Series<V>, name: &str, labels: &str) -> Option<&'m V> {
+    map.get(name).and_then(|by| by.get(labels))
+}
+
+#[derive(Default)]
+struct Registry {
+    counters: Series<Arc<AtomicU64>>,
+    gauges: Series<f64>,
+    histograms: Series<Histogram>,
+    /// Reused canonical-label buffer.
+    scratch: String,
+}
+
 #[derive(Default)]
 struct MetricsInner {
     enabled: bool,
-    counters: BTreeMap<(String, String), u64>,
-    gauges: BTreeMap<(String, String), f64>,
-    histograms: BTreeMap<(String, String), Histogram>,
+    registry: Mutex<Registry>,
 }
 
 /// A shared, clonable metrics registry.
 #[derive(Clone, Default)]
 pub struct Metrics {
-    inner: Arc<Mutex<MetricsInner>>,
+    inner: Arc<MetricsInner>,
 }
 
 impl Metrics {
     /// Creates an enabled registry.
     pub fn new() -> Self {
-        let m = Metrics::default();
-        lock(&m.inner).enabled = true;
-        m
+        Metrics {
+            inner: Arc::new(MetricsInner {
+                enabled: true,
+                registry: Mutex::default(),
+            }),
+        }
     }
 
     /// Creates a registry that drops every update.
@@ -101,17 +169,41 @@ impl Metrics {
 
     /// True when recording.
     pub fn is_enabled(&self) -> bool {
-        lock(&self.inner).enabled
+        self.inner.enabled
+    }
+
+    /// Runs `f` on the registry with `labels` canonicalised into its
+    /// reused scratch buffer.
+    fn with_key<R>(&self, labels: &[(&str, &str)], f: impl FnOnce(&mut Registry, &str) -> R) -> R {
+        let mut reg = lock(&self.inner.registry);
+        let mut key = std::mem::take(&mut reg.scratch);
+        canon_into(&mut key, labels);
+        let out = f(&mut reg, &key);
+        reg.scratch = key;
+        out
+    }
+
+    /// Resolves the counter `name{labels}` to a handle that bumps it
+    /// with no lookup. Resolving creates the series (reading 0), so it
+    /// appears in [`Metrics::snapshot`] from then on.
+    pub fn counter_handle(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        if !self.inner.enabled {
+            return Counter::default();
+        }
+        self.with_key(labels, |reg, key| {
+            Counter(Some(with_cell(
+                &mut reg.counters,
+                name,
+                key,
+                Default::default,
+                |c| Arc::clone(c),
+            )))
+        })
     }
 
     /// Adds `delta` to the counter `name{labels}`.
     pub fn add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let mut inner = lock(&self.inner);
-        if !inner.enabled {
-            return;
-        }
-        let key = (name.to_string(), canon(labels));
-        *inner.counters.entry(key).or_insert(0) += delta;
+        self.counter_handle(name, labels).add(delta);
     }
 
     /// Increments the counter `name{labels}` by one.
@@ -121,12 +213,12 @@ impl Metrics {
 
     /// Sets the gauge `name{labels}`.
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let mut inner = lock(&self.inner);
-        if !inner.enabled {
+        if !self.inner.enabled {
             return;
         }
-        let key = (name.to_string(), canon(labels));
-        inner.gauges.insert(key, value);
+        self.with_key(labels, |reg, key| {
+            with_cell(&mut reg.gauges, name, key, || value, |g| *g = value);
+        });
     }
 
     /// Observes `x` into the histogram `name{labels}` with
@@ -143,65 +235,60 @@ impl Metrics {
     /// [`Metrics::observe`] with explicit bucket bounds (used only when
     /// the series is created).
     pub fn observe_with(&self, name: &str, labels: &[(&str, &str)], x: f64, bounds: &[f64]) {
-        let mut inner = lock(&self.inner);
-        if !inner.enabled {
+        if !self.inner.enabled {
             return;
         }
-        let key = (name.to_string(), canon(labels));
-        inner
-            .histograms
-            .entry(key)
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(x);
+        self.with_key(labels, |reg, key| {
+            with_cell(
+                &mut reg.histograms,
+                name,
+                key,
+                || Histogram::new(bounds),
+                |h| h.observe(x),
+            );
+        });
     }
 
     /// Reads a counter; missing series read as 0.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let key = (name.to_string(), canon(labels));
-        lock(&self.inner).counters.get(&key).copied().unwrap_or(0)
+        self.with_key(labels, |reg, key| {
+            get_cell(&reg.counters, name, key).map_or(0, |c| c.load(Ordering::Relaxed))
+        })
     }
 
     /// Sum of a counter across all label sets.
     pub fn counter_total(&self, name: &str) -> u64 {
-        lock(&self.inner)
+        lock(&self.inner.registry)
             .counters
-            .iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|(_, v)| v)
-            .sum()
+            .get(name)
+            .map_or(0, |by| by.values().map(|c| c.load(Ordering::Relaxed)).sum())
     }
 
     /// Reads a gauge, if set.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let key = (name.to_string(), canon(labels));
-        lock(&self.inner).gauges.get(&key).copied()
+        self.with_key(labels, |reg, key| get_cell(&reg.gauges, name, key).copied())
     }
 
     /// Reads a histogram series, if any observations landed.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        let key = (name.to_string(), canon(labels));
-        lock(&self.inner).histograms.get(&key).cloned()
+        self.with_key(labels, |reg, key| {
+            get_cell(&reg.histograms, name, key).cloned()
+        })
     }
 
     /// A stable point-in-time copy of every series.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = lock(&self.inner);
+        fn flatten<V, W>(map: &Series<V>, read: impl Fn(&V) -> W) -> BTreeMap<String, W> {
+            map.iter()
+                .flat_map(|(n, by)| by.iter().map(move |(l, v)| (series_key(n, l), v)))
+                .map(|(k, v)| (k, read(v)))
+                .collect()
+        }
+        let reg = lock(&self.inner.registry);
         MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|((n, l), v)| (series_key(n, l), *v))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|((n, l), v)| (series_key(n, l), *v))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|((n, l), h)| (series_key(n, l), h.clone()))
-                .collect(),
+            counters: flatten(&reg.counters, |c| c.load(Ordering::Relaxed)),
+            gauges: flatten(&reg.gauges, |g| *g),
+            histograms: flatten(&reg.histograms, Histogram::clone),
         }
     }
 
@@ -411,6 +498,57 @@ mod tests {
         assert!(ai < bi, "keys sorted");
         assert!(a.contains("\"phase{phase=post}\""));
         assert!(a.contains("\"count\": 1"));
+    }
+
+    #[test]
+    fn json_bytes_are_golden_for_a_scrambled_registry() {
+        let m = Metrics::new();
+        m.observe_with("lat", &[("op", "b")], 2.0, &[1.0, 10.0]);
+        m.set_gauge("z_gauge", &[], 1.5);
+        m.inc("reads", &[("target", "img-b")]);
+        let handle = m.counter_handle("reads", &[("target", "img-a")]);
+        m.inc("req", &[("op", "x")]);
+        m.add("a_total", &[], 7);
+        m.set_gauge("free", &[("pool", "x")], 3.0);
+        m.observe_with("lat", &[("op", "a")], 0.5, &[1.0, 10.0]);
+        handle.add(4);
+        m.inc("req_total", &[]);
+        m.inc("reads", &[("target", "img-b")]);
+        m.observe_with("lat", &[("op", "b")], 20.0, &[1.0, 10.0]);
+        handle.inc();
+        m.set_gauge("z_gauge", &[], 2.5);
+        assert_eq!(handle.get(), 5);
+        assert_eq!(m.counter("reads", &[("target", "img-a")]), 5);
+        assert_eq!(m.counter_total("reads"), 7);
+        // `req_total` sorts before `req{op=x}` (`_` < `{`): the export
+        // orders by rendered key, not by name then labels.
+        let golden = r#"{
+  "counters": {
+    "a_total": 7,
+    "reads{target=img-a}": 5,
+    "reads{target=img-b}": 2,
+    "req_total": 1,
+    "req{op=x}": 1
+  },
+  "gauges": {
+    "free{pool=x}": 3.0,
+    "z_gauge": 2.5
+  },
+  "histograms": {
+    "lat{op=a}": {"count": 1, "mean": 0.5, "min": 0.5, "max": 0.5, "bounds": [1.0, 10.0], "counts": [1, 0, 0]},
+    "lat{op=b}": {"count": 2, "mean": 11.0, "min": 2.0, "max": 20.0, "bounds": [1.0, 10.0], "counts": [0, 1, 1]}
+  }
+}"#;
+        assert_eq!(m.to_json(), golden);
+    }
+
+    #[test]
+    fn handles_from_a_disabled_registry_are_detached() {
+        let m = Metrics::disabled();
+        let h = m.counter_handle("c", &[("target", "t")]);
+        h.add(3);
+        assert_eq!(h.get(), 0);
+        assert!(m.snapshot().counters.is_empty());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use bolted_crypto::cost::CipherCost;
 use bolted_sim::fault::{ops, Faults};
-use bolted_sim::{JoinHandle, Metrics, OpGate, Resource, Sim, SimDuration};
+use bolted_sim::{Counter, JoinHandle, Metrics, OpGate, Resource, Sim, SimDuration};
 
 use crate::cluster::ImageId;
 use crate::image::{ImageError, ImageStore};
@@ -131,6 +131,16 @@ impl Transport {
     }
 }
 
+/// This target's `storage_read_*{target}` series in the gate's registry,
+/// resolved on the first successful read.
+struct ReadCounters {
+    /// The gate's metrics epoch the handles were resolved at; a registry
+    /// installed since makes them stale.
+    epoch: u64,
+    ops: Counter,
+    bytes: Counter,
+}
+
 struct TargetState {
     /// Cached window [start, end) currently held at the gateway.
     window: Option<(u64, u64)>,
@@ -139,6 +149,17 @@ struct TargetState {
     bytes_from_cluster: u64,
     bytes_to_client: u64,
     wasted_prefetch: u64,
+    read_counters: Option<ReadCounters>,
+}
+
+impl TargetState {
+    /// Discards every queued prefetch. Their I/O still completes in the
+    /// background — genuinely wasted work, which is counted.
+    fn drop_prefetches(&mut self) {
+        let wasted: u64 = self.prefetch.iter().map(|(s, e, _)| e - s).sum();
+        self.wasted_prefetch += wasted;
+        self.prefetch.clear();
+    }
 }
 
 /// One iSCSI target: a client's session onto one image.
@@ -147,8 +168,9 @@ pub struct IscsiTarget {
     sim: Sim,
     store: ImageStore,
     image: ImageId,
-    /// Image name, resolved once; the fault-plan key for this target.
-    fault_key: String,
+    /// Image name, resolved once; the fault-plan key and metrics label
+    /// for this target. Shared, so cloning a target allocates nothing.
+    fault_key: Arc<str>,
     gateway: Gateway,
     transport: Transport,
     read_ahead: u64,
@@ -169,7 +191,7 @@ impl IscsiTarget {
             sim: sim.clone(),
             store: store.clone(),
             image,
-            fault_key: store.name(image).unwrap_or_default(),
+            fault_key: store.name(image).unwrap_or_default().into(),
             gateway: gateway.clone(),
             transport,
             read_ahead: read_ahead.max(512),
@@ -179,6 +201,7 @@ impl IscsiTarget {
                 bytes_from_cluster: 0,
                 bytes_to_client: 0,
                 wasted_prefetch: 0,
+                read_counters: None,
             })),
         }
     }
@@ -263,14 +286,8 @@ impl IscsiTarget {
                 if covers {
                     st.prefetch.pop_front()
                 } else {
-                    if !st.prefetch.is_empty() {
-                        // Stream went elsewhere: discard stale prefetches
-                        // (their I/O still completes in the background —
-                        // genuinely wasted work, which we count).
-                        let wasted: u64 = st.prefetch.iter().map(|(s, e, _)| e - s).sum();
-                        st.wasted_prefetch += wasted;
-                        st.prefetch.clear();
-                    }
+                    // Stream went elsewhere: the queued prefetches are stale.
+                    st.drop_prefetches();
                     None
                 }
             };
@@ -293,7 +310,6 @@ impl IscsiTarget {
         }
         // Top up the prefetch pipeline behind the current window.
         if self.transport.pipeline_depth > 1 {
-            let image_size = self.store.size(self.image)?;
             loop {
                 let next_start = {
                     let st = lock(&self.state);
@@ -319,21 +335,43 @@ impl IscsiTarget {
         Ok(())
     }
 
-    /// Fault gate for the read path: latency spikes sleep, injected
-    /// failures surface as [`ImageError::Transient`].
-    async fn read_gate(&self) -> Result<(), ImageError> {
+    /// Accounts one successful client read against this target's image:
+    /// bytes served, plus `storage_read_ops`/`storage_read_bytes` through
+    /// counter handles cached in the target state. The handles are
+    /// re-resolved whenever the gate's registry was swapped since.
+    fn count_read(&self, len: u64) {
+        let gate = &self.gateway.gate;
+        let mut st = lock(&self.state);
+        st.bytes_to_client += len;
+        let epoch = gate.metrics_epoch();
+        if st.read_counters.as_ref().map(|c| c.epoch) != Some(epoch) {
+            let (metrics, epoch) = gate.metrics_at_epoch();
+            let labels = [("target", &*self.fault_key)];
+            st.read_counters = Some(ReadCounters {
+                epoch,
+                ops: metrics.counter_handle("storage_read_ops", &labels),
+                bytes: metrics.counter_handle("storage_read_bytes", &labels),
+            });
+        }
+        if let Some(c) = &st.read_counters {
+            c.ops.inc();
+            c.bytes.add(len);
+        }
+    }
+
+    /// The prologue every client read shares: fault gate (latency spikes
+    /// sleep, injected failures surface as [`ImageError::Transient`]),
+    /// make the range resident, count, then one wire-time sleep.
+    async fn serve(&self, offset: u64, len: u64) -> Result<(), ImageError> {
         self.gateway
             .gate
             .pass(&self.sim, ops::STORAGE_READ, &self.fault_key)
             .await
-            .map_err(|_| ImageError::Transient)
-    }
-
-    /// Accounts one successful client read against this target's image.
-    fn count_read(&self, len: u64) {
-        let metrics = self.gateway.gate.metrics();
-        metrics.inc("storage_read_ops", &[("target", &self.fault_key)]);
-        metrics.add("storage_read_bytes", &[("target", &self.fault_key)], len);
+            .map_err(|_| ImageError::Transient)?;
+        self.ensure(offset, len).await?;
+        self.count_read(len);
+        self.sim.sleep(self.transport.wire_time(len)).await;
+        Ok(())
     }
 
     /// Reads `len` bytes at `offset` with timing, returning the data.
@@ -348,12 +386,7 @@ impl IscsiTarget {
     /// the data lands in the caller's buffer with no allocation. This is
     /// the entry point for the zero-copy sector pipeline.
     pub async fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<(), ImageError> {
-        let len = buf.len() as u64;
-        self.read_gate().await?;
-        self.ensure(offset, len).await?;
-        lock(&self.state).bytes_to_client += len;
-        self.count_read(len);
-        self.sim.sleep(self.transport.wire_time(len)).await;
+        self.serve(offset, buf.len() as u64).await?;
         self.store
             .read_at_into(self.image, offset, buf, false)
             .await
@@ -361,12 +394,7 @@ impl IscsiTarget {
 
     /// Timing-only read (no data materialisation) for large workloads.
     pub async fn read_timed(&self, offset: u64, len: u64) -> Result<(), ImageError> {
-        self.read_gate().await?;
-        self.ensure(offset, len).await?;
-        lock(&self.state).bytes_to_client += len;
-        self.count_read(len);
-        self.sim.sleep(self.transport.wire_time(len)).await;
-        Ok(())
+        self.serve(offset, len).await
     }
 
     /// Writes data through to the image (write-through, replicated).
@@ -380,7 +408,7 @@ impl IscsiTarget {
         {
             let mut st = lock(&self.state);
             st.window = None;
-            st.prefetch.clear();
+            st.drop_prefetches();
         }
         self.store.write_at(self.image, offset, data).await
     }
@@ -510,6 +538,59 @@ mod tests {
             t.read_timed(128 << 20, 1 << 20).await.expect("reads");
             assert!(t.wasted_prefetch() > 0, "stale prefetches counted");
         });
+    }
+
+    #[test]
+    fn write_counts_the_prefetches_it_drops() {
+        let (sim, _store, t) = setup(TUNED_READ_AHEAD);
+        sim.block_on(async move {
+            let mut off = 0u64;
+            while off < 4 << 20 {
+                t.read_timed(off, 512 * 1024).await.expect("reads");
+                off += 512 * 1024;
+            }
+            assert_eq!(t.wasted_prefetch(), 0, "a sequential stream wastes nothing");
+            t.write(0, b"invalidate").await.expect("writes");
+            assert!(
+                t.wasted_prefetch() > 0,
+                "the write discarded queued prefetches"
+            );
+        });
+    }
+
+    #[test]
+    fn read_counters_follow_a_late_installed_registry() {
+        let sim = Sim::new();
+        let cluster = Cluster::paper_default(&sim);
+        let store = ImageStore::new(&cluster);
+        let img = store
+            .create("root", 64 << 20, Backing::Zero)
+            .expect("creates");
+        let gw = Gateway::new(&sim);
+        let early = Metrics::new();
+        gw.set_metrics(&early);
+        let t = IscsiTarget::new(
+            &sim,
+            &store,
+            img,
+            &gw,
+            Transport::plain_10g(),
+            TUNED_READ_AHEAD,
+        );
+        let ops = |m: &Metrics| m.counter("storage_read_ops", &[("target", "root")]);
+        let bytes = |m: &Metrics| m.counter("storage_read_bytes", &[("target", "root")]);
+        sim.block_on({
+            let t = t.clone();
+            async move { t.read_timed(0, 4096).await.expect("reads") }
+        });
+        let before = early.to_json();
+        assert_eq!((ops(&early), bytes(&early)), (1, 4096));
+        let late = Metrics::new();
+        gw.set_metrics(&late);
+        sim.block_on(async move { t.read_timed(4096, 512).await.expect("reads") });
+        assert_eq!((ops(&late), bytes(&late)), (1, 512));
+        assert_eq!(late.counter_total("storage_read_ops"), 1);
+        assert_eq!(early.to_json(), before, "the old registry is unchanged");
     }
 
     #[test]

@@ -225,3 +225,25 @@ fn provisioning_is_deterministic() {
     }
     assert_eq!(one_run(), one_run(), "bit-identical timings across runs");
 }
+
+#[test]
+fn single_node_provision_poll_count_is_pinned() {
+    // Every boot read costs exactly one virtual-time timer, so the number
+    // of task polls for a seeded single-node provision is a fixed figure.
+    // A change that adds or coalesces timers on the read path moves it.
+    let polls = |profile: SecurityProfile| {
+        let (sim, cloud, golden) = build(1, FirmwareKind::LinuxBoot);
+        let tenant = Tenant::new(&cloud, "t").expect("tenant");
+        let node = cloud.nodes()[0];
+        let before = sim.events_processed();
+        sim.block_on(async move {
+            tenant
+                .provision(node, &profile, golden)
+                .await
+                .expect("provisions");
+        });
+        sim.events_processed() - before
+    };
+    assert_eq!(polls(SecurityProfile::alice()), 1276);
+    assert_eq!(polls(SecurityProfile::charlie()), 1224);
+}
